@@ -3,7 +3,7 @@
 //! cheaper than the O(N) rendezvous-hashing baseline at system scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use farm_placement::{ClusterMap, Hrw, Rush};
+use farm_placement::{ClusterMap, DiskId, Hrw, Rush, RushScratch};
 use std::hint::black_box;
 
 fn bench_rush_place(c: &mut Criterion) {
@@ -11,12 +11,15 @@ fn bench_rush_place(c: &mut Criterion) {
     for disks in [1_000u32, 10_000, 100_000] {
         let map = ClusterMap::uniform(disks);
         let rush = Rush::new(42);
+        let mut scratch = RushScratch::new();
+        let mut homes = [DiskId(0); 2];
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::from_parameter(disks), &disks, |b, _| {
             let mut g = 0u64;
             b.iter(|| {
                 g = g.wrapping_add(1);
-                black_box(rush.place(black_box(&map), g, 2))
+                rush.fill_walk(black_box(&map), g, &mut scratch, &mut homes);
+                black_box(homes)
             })
         });
     }
@@ -32,11 +35,14 @@ fn bench_rush_multi_cluster(c: &mut Criterion) {
             map.add_cluster(10_000 / clusters as u32, 1.0);
         }
         let rush = Rush::new(42);
+        let mut scratch = RushScratch::new();
+        let mut homes = [DiskId(0); 2];
         group.bench_with_input(BenchmarkId::from_parameter(clusters), &clusters, |b, _| {
             let mut g = 0u64;
             b.iter(|| {
                 g = g.wrapping_add(1);
-                black_box(rush.place(black_box(&map), g, 2))
+                rush.fill_walk(black_box(&map), g, &mut scratch, &mut homes);
+                black_box(homes)
             })
         });
     }
@@ -65,11 +71,12 @@ fn bench_candidate_walk(c: &mut Criterion) {
     // candidate (typical after skipping dead/busy disks)?
     let map = ClusterMap::uniform(10_000);
     let rush = Rush::new(42);
+    let mut scratch = RushScratch::new();
     c.bench_function("placement/candidates_take10", |b| {
         let mut g = 0u64;
         b.iter(|| {
             g = g.wrapping_add(1);
-            black_box(rush.candidates(&map, g).nth(9))
+            black_box(rush.walk(&map, g, &mut scratch).nth(9))
         })
     });
 }

@@ -126,10 +126,11 @@ pub struct GroupLayout {
     /// Kept on the struct so the per-trial rebuild reuses allocations.
     bulk_counts: Vec<u32>,
     bulk_cursors: Vec<u32>,
-    /// Current memo generation. The prefixes are scoped to one (seed,
-    /// cluster map): bumping the generation — O(1), no clearing —
-    /// drops every row at once. 0 is never a valid generation, so
-    /// freshly zeroed stamps can never match.
+    /// Current memo generation. The prefixes are scoped to one seed
+    /// (batch replacement patches them as the cluster map grows):
+    /// bumping the generation — O(1), no clearing — drops every row at
+    /// once. 0 is never a valid generation, so freshly zeroed stamps
+    /// can never match.
     memo_gen: u32,
 }
 
@@ -492,11 +493,11 @@ impl GroupLayout {
         }
     }
 
-    /// Drop every memoized walk prefix in O(1) (generation bump). The
-    /// trial reset calls this (prefixes are seed-scoped), and so does
-    /// batch replacement after growing the cluster map — a new
-    /// sub-cluster changes every group's walk, so resuming from a
-    /// pre-growth frontier would emit the wrong sequence.
+    /// Drop every memoized walk prefix in O(1) (generation bump). Only
+    /// the trial reset calls this: prefixes are seed-scoped. Cluster
+    /// growth does not, because batch replacement re-records the prefix
+    /// of every group whose walk the new sub-cluster could change and
+    /// the rest stay exact (see `replacement.rs`).
     pub fn invalidate_walk_prefixes(&mut self) {
         self.memo_gen = self.memo_gen.wrapping_add(1);
         if self.memo_gen == 0 {

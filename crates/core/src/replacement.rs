@@ -6,9 +6,45 @@
 //! drives, a batch of new (age-0, hence infant-mortality-prone — the
 //! *cohort effect*) drives joins as a new placement sub-cluster, and the
 //! placement function migrates the batch's fair share of data onto it.
+//!
+//! Migration is a delta: adding cluster J cannot change any RUSH draw at
+//! clusters < J, so a group whose walk was *clean* under the old map
+//! (first `n` candidates all attempt-0 draws, see
+//! [`Rush::fill_walk`](farm_placement::Rush::fill_walk)) keeps them
+//! unless cluster J's take-hash fires on one of them
+//! ([`Rush::growth_probe`](farm_placement::Rush::growth_probe)). Only the
+//! groups where it fires, and the rare groups that are not clean, are
+//! re-walked, so the outcome equals re-placing every group.
 
+use crate::layout::BlockRef;
 use crate::sim::Simulation;
-use farm_placement::DiskId;
+use farm_placement::{kernel, DiskId, RushScratch};
+
+/// Per-trial delta-migration state: one clean bit per group, describing
+/// its walk under the current cluster map. Derived at the trial's first
+/// batch and carried forward batch by batch.
+#[derive(Default)]
+pub(crate) struct Migration {
+    clean: Vec<u64>,
+    /// The first `n` candidates of the group being re-walked.
+    homes: Vec<DiskId>,
+}
+
+impl Migration {
+    fn is_clean(&self, group: u32) -> bool {
+        self.clean[group as usize / 64] >> (group % 64) & 1 == 1
+    }
+
+    fn set_clean(&mut self, group: u32, clean: bool) {
+        let word = &mut self.clean[group as usize / 64];
+        let bit = 1u64 << (group % 64);
+        if clean {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+}
 
 impl Simulation {
     /// Check the replacement threshold and add a batch if crossed.
@@ -35,14 +71,15 @@ impl Simulation {
             return;
         }
         let now = self.now();
+        let mut mig = std::mem::take(&mut self.migration);
+        let mut scratch = std::mem::take(&mut self.rush_scratch);
+        if self.metrics().batches_added == 0 {
+            self.derive_clean_bits(&mut mig, &mut scratch);
+        }
         // New drives carry the weight of the existing ones ("currently,
         // the weight of each disk is set to that of the existing drives
         // for simplicity", §3.5).
         let cluster_idx = self.map_mut().add_cluster(batch_size, 1.0);
-        // The grown map changes every group's candidate walk, so the
-        // memoized placement prefixes no longer describe it — drop them
-        // all before any recovery walk can resume from a stale frontier.
-        self.layout_mut().invalidate_walk_prefixes();
         let first_new = self.cluster_map().cluster(cluster_idx).first;
         for _ in 0..batch_size {
             let id = self.add_disk(now);
@@ -51,23 +88,36 @@ impl Simulation {
         self.failed_since_batch = 0;
         self.metrics_mut().batches_added += 1;
 
-        // Migration: re-place every group under the grown map; blocks
+        // Migration, in ascending group order so capacity checks see the
+        // same disk state as a full re-placement would. A skipped group's
+        // first `n` candidates are unchanged and hold no new disk, so it
+        // moves nothing and its memoized walk prefix stays exact. A
+        // re-walked group gets a fresh prefix: the memo follows the
+        // placement engine toggle, as initial placement does. Blocks
         // whose new home falls in the new sub-cluster move there (RUSH's
         // minimal-migration property means nothing else moves).
         let n = self.layout().blocks_per_group() as usize;
         let block_bytes = self.prepared().block_bytes;
         let rush = self.rush();
+        let memoize = kernel::engine_enabled();
         let mut moved = 0u64;
         for g in 0..self.layout().n_groups() {
-            if self.layout().is_dead(g) {
+            if mig.is_clean(g) && !rush.growth_probe(self.cluster_map(), g as u64, n) {
                 continue;
             }
-            let new_homes = rush.place(self.cluster_map(), g as u64, n);
-            for (idx, &new_home) in new_homes.iter().enumerate() {
+            let clean = rush.fill_walk(self.cluster_map(), g as u64, &mut scratch, &mut mig.homes);
+            mig.set_clean(g, clean);
+            if memoize {
+                self.layout_mut().record_walk_prefix(g, &mig.homes);
+            }
+            if self.layout().is_dead(g) {
+                continue; // re-walked only to keep its bit and memo exact
+            }
+            for (idx, &new_home) in mig.homes.iter().enumerate() {
                 if new_home.0 < first_new {
                     continue; // not remapped into the batch
                 }
-                let b = crate::layout::BlockRef::new(g, idx as u8);
+                let b = BlockRef::new(g, idx as u8);
                 let cur = self.layout().home(b);
                 if cur == new_home
                     || self.layout().is_missing(b)
@@ -86,16 +136,22 @@ impl Simulation {
             }
         }
         self.metrics_mut().migrated_blocks += moved;
+        self.rush_scratch = scratch;
+        self.migration = mig;
     }
 
-    /// Disks belonging to replacement batches (everything after the
-    /// initial sub-cluster).
-    pub fn batch_disks(&self) -> Vec<DiskId> {
-        let map = self.cluster_map();
-        if map.n_clusters() <= 1 {
-            return Vec::new();
+    /// Every group's clean bit under the trial's initial map (see
+    /// [`Rush::fill_walk`](farm_placement::Rush::fill_walk)).
+    fn derive_clean_bits(&self, mig: &mut Migration, scratch: &mut RushScratch) {
+        let n = self.layout().blocks_per_group() as usize;
+        let n_groups = self.layout().n_groups();
+        mig.clean.clear();
+        mig.clean.resize((n_groups as usize).div_ceil(64), 0);
+        mig.homes.resize(n, DiskId(0));
+        let rush = self.rush();
+        for g in 0..n_groups {
+            let clean = rush.fill_walk(self.cluster_map(), g as u64, scratch, &mut mig.homes);
+            mig.set_clean(g, clean);
         }
-        let first_batch = map.cluster(1).first;
-        (first_batch..map.n_disks()).map(DiskId).collect()
     }
 }

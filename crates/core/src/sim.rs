@@ -19,6 +19,7 @@
 use crate::config::{PreparedConfig, RecoveryPolicy, SystemConfig};
 use crate::layout::{BlockRef, GroupLayout};
 use crate::metrics::TrialMetrics;
+use crate::replacement::Migration;
 use crate::workload;
 use farm_des::rng::SeedFactory;
 use farm_des::time::{Duration, SimTime};
@@ -141,6 +142,9 @@ pub struct Simulation {
     /// Reusable buffer for the batched placement engine's prehashed
     /// attempt-0 draws (index-major, [`kernel::LANES`] lanes per row).
     place_hashes: Vec<u64>,
+    /// Delta-migration state for batch replacement (empty until the
+    /// trial's first batch; see `replacement.rs`).
+    pub(crate) migration: Migration,
     /// Failed drives in the placement population since the last batch.
     pub(crate) failed_since_batch: u32,
     /// Event-loop profiler (observability; `None` = off, the zero-cost
@@ -196,6 +200,7 @@ impl Simulation {
             blocks_scratch: Vec::new(),
             sources_scratch: Vec::new(),
             place_hashes: Vec::new(),
+            migration: Migration::default(),
             failed_since_batch: 0,
             profiler: None,
             tracer: None,

@@ -157,6 +157,53 @@ fn replacement_batches_join_and_migrate() {
 }
 
 #[test]
+fn walk_prefix_memo_survives_growth_exactly() {
+    // Delta migration keeps the memo across growth: skipped groups keep
+    // their prefix, re-walked ones record a fresh one. Every prefix left
+    // at the horizon must be the final map's walk.
+    let base = SystemConfig {
+        recovery_bandwidth: 16 * MIB,
+        detection_latency: Duration::from_secs(30.0),
+        ..tiny()
+    };
+    let stressed = SystemConfig {
+        scheme: farm_erasure::Scheme::new(4, 6),
+        hazard: Hazard::table1().with_multiplier(4.0),
+        replacement: ReplacementPolicy::at_fraction(0.04),
+        ..base.clone()
+    };
+    let mirrored = SystemConfig {
+        hazard: Hazard::table1().with_multiplier(4.0),
+        replacement: ReplacementPolicy::at_fraction(0.02),
+        ..base
+    };
+    for (name, cfg) in [("stressed", stressed), ("mirrored", mirrored)] {
+        let mut sim = Simulation::new(cfg, 7);
+        let m = sim.run();
+        assert!(m.batches_added >= 2, "{name}: {} batches", m.batches_added);
+        let n = sim.layout().blocks_per_group() as usize;
+        let rush = sim.rush();
+        let mut scratch = farm_placement::RushScratch::new();
+        let mut memoized = 0u32;
+        for g in 0..sim.layout().n_groups() {
+            let prefix = sim.layout().walk_prefix(g);
+            if prefix.is_empty() {
+                continue;
+            }
+            let walked: Vec<_> = rush
+                .walk(sim.cluster_map(), g as u64, &mut scratch)
+                .take(n)
+                .collect();
+            assert_eq!(prefix, &walked[..], "{name}: group {g} memo is stale");
+            memoized += 1;
+        }
+        if farm_placement::kernel::engine_enabled() {
+            assert!(memoized > 0, "{name}: no memoized prefix survived");
+        }
+    }
+}
+
+#[test]
 fn dead_groups_stay_dead_and_are_counted_once() {
     let cfg = SystemConfig {
         hazard: Hazard::table1().with_multiplier(30.0),

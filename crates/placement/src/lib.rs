@@ -16,23 +16,26 @@
 //!   benchmarks.
 //!
 //! ```
-//! use farm_placement::{ClusterMap, Rush};
+//! use farm_placement::{ClusterMap, DiskId, Rush, RushScratch};
 //!
 //! let mut map = ClusterMap::uniform(1000);
 //! let rush = Rush::new(0xFA12);
+//! // Walks reuse one scratch for their dedup state.
+//! let mut scratch = RushScratch::new();
 //! // Two-way mirroring: the first two candidates hold the replicas.
-//! let homes = rush.place(&map, 42, 2);
+//! let homes: Vec<DiskId> = rush.walk(&map, 42, &mut scratch).take(2).collect();
 //! assert_ne!(homes[0], homes[1]);
 //!
 //! // After a failure, FARM keeps walking the same candidate list to find
 //! // a recovery target.
-//! let next = rush.candidates(&map, 42).nth(2).unwrap();
+//! let next = rush.walk(&map, 42, &mut scratch).nth(2).unwrap();
 //! assert!(!homes.contains(&next));
 //!
 //! // Growing the system by a batch of 100 drives leaves most placements
 //! // untouched (minimal migration).
 //! map.add_cluster(100, 1.0);
-//! let _new_homes = rush.place(&map, 42, 2);
+//! let mut new_homes = [DiskId(0); 2];
+//! rush.fill_walk(&map, 42, &mut scratch, &mut new_homes);
 //! ```
 
 pub mod cluster;
@@ -43,4 +46,4 @@ pub mod rush;
 
 pub use cluster::{ClusterMap, DiskId, SubCluster};
 pub use hrw::{Hrw, HrwScratch};
-pub use rush::{Candidates, PreDraws, Rush, RushScratch, Walk};
+pub use rush::{PreDraws, Rush, RushScratch, Walk};

@@ -62,25 +62,6 @@ impl Rush {
         self.prefix
     }
 
-    /// The infinite-until-exhausted ordered candidate list for a group.
-    ///
-    /// Self-contained: owns its dedup state, allocating one stamp array
-    /// per call. Hot paths that walk candidates per group or per rebuild
-    /// should hold a [`RushScratch`] and use [`Rush::walk`] instead,
-    /// which emits the identical sequence without allocating.
-    pub fn candidates<'a>(&self, map: &'a ClusterMap, group: u64) -> Candidates<'a> {
-        let mut scratch = RushScratch::new();
-        scratch.begin(map.n_disks());
-        Candidates {
-            rush: *self,
-            map,
-            group,
-            gkey: self.group_key(group),
-            index: 0,
-            scratch,
-        }
-    }
-
     /// The per-group folded hash key, `combine(hash_prefix(seed),
     /// group)` — the state every candidate index extends. Exposed so
     /// the batched engine can build lane keys for
@@ -90,11 +71,11 @@ impl Rush {
         hash::combine(self.prefix, group)
     }
 
-    /// [`Rush::candidates`] without the allocation: dedup state lives in
-    /// the caller's reusable `scratch` (reset here, O(1) amortized), so
-    /// a walk costs only hashing. The emitted sequence is bit-identical
-    /// to `candidates` — both run the same draw-and-dedup loop, and the
-    /// golden-sequence test pins them together.
+    /// The infinite-until-exhausted ordered candidate list for a group;
+    /// its first `n` entries are the homes of the group's `n` blocks.
+    /// Dedup state lives in the caller's reusable `scratch` (reset here,
+    /// O(1) amortized), so a walk costs only hashing. The golden-sequence
+    /// test pins the emitted order to an allocating specification.
     pub fn walk<'m, 's>(
         &self,
         map: &'m ClusterMap,
@@ -213,14 +194,54 @@ impl Rush {
         true
     }
 
-    /// First `n` candidates: the homes of the group's `n` blocks.
-    pub fn place(&self, map: &ClusterMap, group: u64, n: usize) -> Vec<DiskId> {
+    /// Fill `out` with the walk's first `out.len()` candidates and
+    /// report whether the walk is *clean* over that prefix: each
+    /// candidate was the attempt-0 draw at its index, so no collision
+    /// retry (and hence no fallback probe) ran. Equivalently, the first
+    /// `out.len()` attempt-0 draws are pairwise distinct. `out` is the
+    /// walk's output either way: a collision re-begins the scratch and
+    /// takes the generic walk. Panics if `out` is longer than the system.
+    pub fn fill_walk(
+        &self,
+        map: &ClusterMap,
+        group: u64,
+        scratch: &mut RushScratch,
+        out: &mut [DiskId],
+    ) -> bool {
         assert!(
-            n as u64 <= map.n_disks() as u64,
-            "cannot place {n} blocks on {} disks",
+            out.len() as u64 <= map.n_disks() as u64,
+            "cannot place {} blocks on {} disks",
+            out.len(),
             map.n_disks()
         );
-        self.candidates(map, group).take(n).collect()
+        scratch.begin(map.n_disks());
+        let gkey = self.group_key(group);
+        let clean = out.iter_mut().enumerate().all(|(i, slot)| {
+            *slot = Self::draw_with_prefix(map, hash::combine(hash::combine(gkey, i as u64), 0));
+            scratch.mark(*slot)
+        });
+        if !clean {
+            for (slot, d) in out.iter_mut().zip(self.walk(map, group, scratch)) {
+                *slot = d;
+            }
+        }
+        clean
+    }
+
+    /// The delta-migration probe, on a map whose newest sub-cluster was
+    /// just appended: does that cluster's take-hash fire on any of the
+    /// group's first `n` attempt-0 draws? Appending a cluster leaves
+    /// every draw at the older clusters unchanged (see the descent in
+    /// `Rush::raw_draw`), so for a walk that was clean under the
+    /// previous map (see [`Rush::fill_walk`]), `false` proves its first
+    /// `n` candidates, and the walk state after them, are unchanged.
+    /// A walk that was not clean can change without the probe firing:
+    /// a retry draw may land in the new cluster.
+    pub fn growth_probe(&self, map: &ClusterMap, group: u64, n: usize) -> bool {
+        let j = map.n_clusters() - 1;
+        debug_assert!(j > 0, "the probe needs a grown map");
+        let gkey = self.group_key(group);
+        (0..n as u64).any(|i| Self::takes(map, hash::combine(hash::combine(gkey, i), 0), j))
     }
 
     /// One raw draw: candidate `index`, attempt `attempt` for `group` —
@@ -257,17 +278,23 @@ impl Rush {
     #[inline]
     fn draw_with_prefix(map: &ClusterMap, prefix: u64) -> DiskId {
         for j in (1..map.n_clusters()).rev() {
-            let c = map.cluster(j);
-            let take_p = c.total_weight() / map.cum_weight(j);
-            let h = hash::combine(hash::combine(prefix, j as u64), 0xC1);
-            if hash::to_unit(h) < take_p {
+            if Self::takes(map, prefix, j) {
                 let within = hash::combine(hash::combine(prefix, j as u64), 0xD2);
-                return DiskId(c.first + map.rem_cluster_len(j, within) as u32);
+                return DiskId(map.cluster(j).first + map.rem_cluster_len(j, within) as u32);
             }
         }
         let c = map.cluster(0);
         let within = hash::combine(hash::combine(prefix, 0), 0xD2);
         DiskId(c.first + map.rem_cluster_len(0, within) as u32)
+    }
+
+    /// The descent's take test at sub-cluster `j >= 1`: does the draw
+    /// with folded hash `prefix` land in `j` rather than descend, with
+    /// probability `w_j / (w_0 + ... + w_j)`?
+    #[inline]
+    fn takes(map: &ClusterMap, prefix: u64, j: usize) -> bool {
+        let take_p = map.cluster(j).total_weight() / map.cum_weight(j);
+        hash::to_unit(hash::combine(hash::combine(prefix, j as u64), 0xC1)) < take_p
     }
 }
 
@@ -365,8 +392,8 @@ impl<'a> PreDraws<'a> {
     }
 }
 
-/// One step of the distinct-candidate sequence. Shared by both iterator
-/// types so their output cannot diverge.
+/// One step of the distinct-candidate sequence. Shared with the
+/// test-only `Candidates` specification so their output cannot diverge.
 fn next_distinct(
     rush: Rush,
     map: &ClusterMap,
@@ -417,39 +444,6 @@ fn next_distinct(
     None
 }
 
-/// Iterator over a group's distinct candidate disks (owns its scratch).
-pub struct Candidates<'a> {
-    rush: Rush,
-    map: &'a ClusterMap,
-    group: u64,
-    gkey: u64,
-    index: u64,
-    scratch: RushScratch,
-}
-
-impl Candidates<'_> {
-    /// See [`RushScratch::fallback_probes`].
-    pub fn fallback_probes(&self) -> u64 {
-        self.scratch.fallback_probes()
-    }
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = DiskId;
-
-    fn next(&mut self) -> Option<DiskId> {
-        next_distinct(
-            self.rush,
-            self.map,
-            self.group,
-            self.gkey,
-            &mut self.index,
-            &mut self.scratch,
-            PreDraws::empty(),
-        )
-    }
-}
-
 /// Iterator over a group's distinct candidate disks, deduplicating
 /// through a borrowed [`RushScratch`] — the allocation-free hot path.
 pub struct Walk<'m, 's> {
@@ -491,6 +485,61 @@ impl Iterator for Walk<'_, '_> {
             &mut self.index,
             self.scratch,
             self.pre,
+        )
+    }
+}
+
+/// The allocating specification of a walk: an iterator that owns its
+/// dedup state. Test-only; the golden-sequence test ties it to [`Walk`].
+#[cfg(test)]
+struct Candidates<'a> {
+    rush: Rush,
+    map: &'a ClusterMap,
+    group: u64,
+    gkey: u64,
+    index: u64,
+    scratch: RushScratch,
+}
+
+#[cfg(test)]
+impl Rush {
+    fn candidates<'a>(&self, map: &'a ClusterMap, group: u64) -> Candidates<'a> {
+        let mut scratch = RushScratch::new();
+        scratch.begin(map.n_disks());
+        Candidates {
+            rush: *self,
+            map,
+            group,
+            gkey: self.group_key(group),
+            index: 0,
+            scratch,
+        }
+    }
+
+    /// First `n` candidates: the homes of the group's `n` blocks.
+    fn place(&self, map: &ClusterMap, group: u64, n: usize) -> Vec<DiskId> {
+        assert!(
+            n as u64 <= map.n_disks() as u64,
+            "cannot place {n} blocks on {} disks",
+            map.n_disks()
+        );
+        self.candidates(map, group).take(n).collect()
+    }
+}
+
+#[cfg(test)]
+impl Iterator for Candidates<'_> {
+    type Item = DiskId;
+
+    fn next(&mut self) -> Option<DiskId> {
+        next_distinct(
+            self.rush,
+            self.map,
+            self.group,
+            self.gkey,
+            &mut self.index,
+            &mut self.scratch,
+            PreDraws::empty(),
         )
     }
 }
@@ -599,7 +648,7 @@ mod tests {
         let mut iter = rush.candidates(&map, 0);
         let all: Vec<DiskId> = iter.by_ref().collect();
         assert!(
-            iter.fallback_probes() > 0,
+            iter.scratch.fallback_probes() > 0,
             "512-disk exhaustion was expected to hit the fallback probe"
         );
         assert_eq!(all.len(), 512);
@@ -898,5 +947,135 @@ mod tests {
         }
         let frac = in_new as f64 / groups as f64;
         assert!((frac - 0.5).abs() < 0.02, "new-cluster share {frac}");
+    }
+
+    #[test]
+    fn fill_walk_matches_the_walk() {
+        // Dense maps so that collisions (unclean walks) are common.
+        let mut map = ClusterMap::uniform(6);
+        map.add_cluster(3, 0.5);
+        let rush = Rush::new(0x16);
+        let mut scratch = RushScratch::new();
+        let (mut clean, mut unclean) = (0u32, 0u32);
+        for n in [1usize, 2, 4, 6, 9] {
+            for group in 0..200u64 {
+                let mut got = vec![DiskId(0); n];
+                let is_clean = rush.fill_walk(&map, group, &mut scratch, &mut got);
+                assert_eq!(got, rush.place(&map, group, n), "n {n}, group {group}");
+                // Clean iff the first n attempt-0 draws are distinct.
+                let draws: std::collections::HashSet<DiskId> = (0..n as u64)
+                    .map(|i| rush.raw_draw(&map, group, i, 0))
+                    .collect();
+                assert_eq!(is_clean, draws.len() == n, "n {n}, group {group}");
+                if is_clean {
+                    clean += 1;
+                } else {
+                    unclean += 1;
+                }
+            }
+        }
+        assert!(clean > 0 && unclean > 0, "clean {clean}, unclean {unclean}");
+    }
+
+    /// One growth step of the delta migration, checked against the full
+    /// re-walk. Returns `(rewalk, changed_without_probe)`: whether the
+    /// group needs a re-walk, and whether an unclean walk changed its
+    /// first `n` although the probe did not fire.
+    fn check_growth_step(
+        rush: &Rush,
+        before: &ClusterMap,
+        after: &ClusterMap,
+        group: u64,
+        n: usize,
+        scratch: &mut RushScratch,
+    ) -> (bool, bool) {
+        let mut walked = vec![DiskId(0); n];
+        let clean = rush.fill_walk(before, group, scratch, &mut walked);
+        let old = rush.place(before, group, n);
+        let new = rush.place(after, group, n);
+        let probe = rush.growth_probe(after, group, n);
+        let first_new = after.cluster(after.n_clusters() - 1).first;
+        let takes_new = new.iter().any(|d| d.0 >= first_new);
+        if clean && !probe {
+            assert_eq!(new, old, "group {group}, n {n}: a skipped walk changed");
+        }
+        let rewalk = !clean || probe;
+        assert!(
+            !takes_new || rewalk,
+            "group {group}, n {n}: a new-cluster home without a re-walk"
+        );
+        (rewalk, !clean && !probe && new != old)
+    }
+
+    #[test]
+    fn growth_probe_is_exact_for_clean_walks() {
+        // Random seeds and growth sequences of 1-6 sub-clusters with
+        // mixed lengths and weights.
+        let mut state = 0x2004_u64;
+        let mut next = |bound: u64| {
+            state = hash::mix64(state.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            state % bound
+        };
+        let weights = [0.25, 0.5, 1.0, 2.0, 3.0];
+        let mut scratch = RushScratch::new();
+        let (mut rewalked, mut skipped) = (0u32, 0u32);
+        for _case in 0..24 {
+            let rush = Rush::new(next(u64::MAX));
+            let mut before = ClusterMap::uniform(10 + next(120) as u32);
+            for _step in 0..1 + next(6) {
+                let mut after = before.clone();
+                after.add_cluster(1 + next(48) as u32, weights[next(5) as usize]);
+                for n in [1usize, 2, 4, 6, 10] {
+                    for group in 0..60u64 {
+                        let (rewalk, _) =
+                            check_growth_step(&rush, &before, &after, group, n, &mut scratch);
+                        if rewalk {
+                            rewalked += 1;
+                        } else {
+                            skipped += 1;
+                        }
+                    }
+                }
+                before = after;
+            }
+        }
+        assert!(
+            rewalked > 0 && skipped > 0,
+            "rewalked {rewalked}, skipped {skipped}"
+        );
+    }
+
+    #[test]
+    fn unclean_walks_near_a_full_map_need_the_rewalk() {
+        // Ten disks, one of them nearly weightless: a 10-candidate walk
+        // retries on almost every index and usually exhausts its hash
+        // attempts before it draws the light disk, so the linear
+        // fallback probe runs. Growth then reroutes retry draws without
+        // the attempt-0 probe firing, which is why unclean groups are
+        // always re-walked.
+        let mut before = ClusterMap::uniform(9);
+        before.add_cluster(1, 0.02);
+        let rush = Rush::new(0xC0FFEE);
+        let mut scratch = RushScratch::new();
+        let mut changed_without_probe = 0u32;
+        for (len, weight) in [(4u32, 1.0), (1, 0.5), (12, 2.0)] {
+            let mut after = before.clone();
+            after.add_cluster(len, weight);
+            for n in [6usize, 10] {
+                for group in 0..300u64 {
+                    let (_, changed) =
+                        check_growth_step(&rush, &before, &after, group, n, &mut scratch);
+                    changed_without_probe += changed as u32;
+                }
+            }
+        }
+        assert!(
+            scratch.fallback_probes() > 0,
+            "the fallback probe never ran"
+        );
+        assert!(
+            changed_without_probe > 0,
+            "no unclean walk changed without the probe firing"
+        );
     }
 }

@@ -6,7 +6,7 @@
 use farm_core::prelude::*;
 use farm_core::Simulation;
 use farm_disk::failure::Hazard;
-use farm_placement::{ClusterMap, DiskId, Rush};
+use farm_placement::{ClusterMap, DiskId, Rush, RushScratch};
 
 fn small() -> SystemConfig {
     SystemConfig {
@@ -76,8 +76,9 @@ fn candidate_walk_matches_raw_rush_for_untouched_groups() {
     let rush = Rush::new(farm_des::rng::SeedFactory::new(3).child(0xFA).master());
     let map = ClusterMap::uniform(sim.cluster_map().n_disks());
     let n = sim.config().scheme.n as usize;
+    let mut scratch = RushScratch::new();
     for g in (0..sim.layout().n_groups()).step_by(37) {
-        let expected = rush.place(&map, g as u64, n);
+        let expected: Vec<DiskId> = rush.walk(&map, g as u64, &mut scratch).take(n).collect();
         assert_eq!(
             sim.layout().homes_of(g),
             &expected[..],

@@ -13,7 +13,7 @@ use farm_des::time::Duration;
 use farm_des::{EventQueue, SimTime};
 use farm_disk::failure::Hazard;
 use farm_erasure::{evenodd::EvenOdd, gf256, Scheme};
-use farm_placement::{ClusterMap, Rush};
+use farm_placement::{ClusterMap, DiskId, Rush, RushScratch};
 
 /// Master seed for every generated case in this file.
 const MASTER: u64 = 0xFA12_31AB_CD00_7E57;
@@ -226,8 +226,9 @@ fn rush_candidates_distinct_and_deterministic() {
         let take = (1 + rng.below(7) as usize).min(disks as usize);
         let map = ClusterMap::uniform(disks);
         let rush = Rush::new(seed);
-        let a = rush.place(&map, group, take);
-        let b = rush.place(&map, group, take);
+        let mut scratch = RushScratch::new();
+        let a: Vec<DiskId> = rush.walk(&map, group, &mut scratch).take(take).collect();
+        let b: Vec<DiskId> = rush.walk(&map, group, &mut scratch).take(take).collect();
         assert_eq!(a, b, "case {i}: placement not deterministic");
         let set: std::collections::HashSet<_> = a.iter().collect();
         assert_eq!(set.len(), take, "case {i}: duplicate candidates in {a:?}");
@@ -245,11 +246,12 @@ fn rush_growth_only_moves_to_new_cluster_or_stays() {
         let mut after = before.clone();
         after.add_cluster(added, 1.0);
         let rush = Rush::new(seed);
+        let mut scratch = RushScratch::new();
         let mut moved_within_old = 0u32;
         let mut total = 0u32;
         for g in 0..groups {
-            let a = rush.place(&before, g, 2);
-            let b = rush.place(&after, g, 2);
+            let a: Vec<DiskId> = rush.walk(&before, g, &mut scratch).take(2).collect();
+            let b: Vec<DiskId> = rush.walk(&after, g, &mut scratch).take(2).collect();
             for (x, y) in a.iter().zip(&b) {
                 total += 1;
                 if x != y && y.0 < old {
