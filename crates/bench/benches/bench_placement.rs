@@ -1,9 +1,8 @@
 //! Placement throughput: RUSH lookups must be cheap enough to place
-//! millions of redundancy groups at simulation start, and dramatically
-//! cheaper than the O(N) rendezvous-hashing baseline at system scale.
+//! millions of redundancy groups at simulation start.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use farm_placement::{ClusterMap, DiskId, Hrw, Rush, RushScratch};
+use farm_placement::{ClusterMap, DiskId, Rush, RushScratch};
 use std::hint::black_box;
 
 fn bench_rush_place(c: &mut Criterion) {
@@ -49,23 +48,6 @@ fn bench_rush_multi_cluster(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hrw_baseline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("placement/hrw_place2");
-    group.sample_size(20);
-    for disks in [1_000u32, 10_000] {
-        let map = ClusterMap::uniform(disks);
-        let hrw = Hrw::new(42);
-        group.bench_with_input(BenchmarkId::from_parameter(disks), &disks, |b, _| {
-            let mut g = 0u64;
-            b.iter(|| {
-                g = g.wrapping_add(1);
-                black_box(hrw.place(black_box(&map), g, 2))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_candidate_walk(c: &mut Criterion) {
     // FARM's recovery-target search: how fast can we pull the 10th
     // candidate (typical after skipping dead/busy disks)?
@@ -85,7 +67,6 @@ criterion_group!(
     benches,
     bench_rush_place,
     bench_rush_multi_cluster,
-    bench_hrw_baseline,
     bench_candidate_walk
 );
 criterion_main!(benches);

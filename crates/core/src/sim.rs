@@ -49,6 +49,12 @@ macro_rules! trace_ev {
 }
 pub(crate) use trace_ev;
 
+/// How many blocks ahead of the one being handled the failure and detect
+/// handlers prefetch a block's per-group state (see
+/// [`GroupLayout::prefetch_block`]). 16 measured ahead of 8 on RS 8/10
+/// wide groups, where one failed disk holds ~350 blocks.
+pub(crate) const LOOKAHEAD: usize = 16;
+
 /// Simulation events.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
@@ -1325,7 +1331,10 @@ impl Simulation {
         let mut blocks = std::mem::take(&mut self.blocks_scratch);
         blocks.clear();
         blocks.extend_from_slice(self.layout.blocks_on(d));
-        for &b in &blocks {
+        for (i, &b) in blocks.iter().enumerate() {
+            if let Some(&ahead) = blocks.get(i + LOOKAHEAD) {
+                self.layout.prefetch_availability(ahead);
+            }
             if self.layout.is_dead(b.group()) {
                 continue;
             }
@@ -1410,7 +1419,13 @@ impl Simulation {
                     Some(self.add_disk(self.now))
                 }
             };
-            for &b in &blocks {
+            // Blocks are handled in order, so each target choice still
+            // sees the pipes the earlier rebuilds made busy; only the
+            // state loads run ahead.
+            for (i, &b) in blocks.iter().enumerate() {
+                if let Some(&ahead) = blocks.get(i + LOOKAHEAD) {
+                    self.layout.prefetch_block(ahead);
+                }
                 self.schedule_rebuild(b, forced_target);
             }
         }

@@ -449,3 +449,38 @@ fn scrubbing_reduces_latent_trips() {
         "weekly scrubbing should slash trips: {scrubbed} vs {unscrubbed}"
     );
 }
+
+#[test]
+fn lookahead_handlers_match_recorded_summary() {
+    use crate::montecarlo::{run_trials_with_threads, TrialMode};
+    use crate::sim::LOOKAHEAD;
+    // RS 8/10 with 1 GiB blocks on 256 GiB drives: ~100 blocks a disk,
+    // so a failed disk's blocks run past the handlers' look-ahead.
+    let cfg = SystemConfig {
+        scheme: farm_erasure::Scheme::new(8, 10),
+        total_user_bytes: 8 * TIB,
+        group_user_bytes: 8 * GIB,
+        disk_capacity: 256 * GIB,
+        ..SystemConfig::default()
+    };
+    let sim = Simulation::new(cfg.clone(), 1);
+    let block_bytes = cfg.block_bytes();
+    for (d, used, _) in sim.population_utilization() {
+        assert!(used / block_bytes >= 64, "disk {d:?} holds {used} bytes");
+    }
+    let s = run_trials_with_threads(&cfg, 17, 4, TrialMode::Full, 1);
+    assert!(
+        s.fanout.max() > LOOKAHEAD as f64,
+        "fan-out {} never exceeds the look-ahead",
+        s.fanout.max()
+    );
+    // FNV-1a of the compact summary, recorded before the handlers
+    // prefetched ahead: the look-ahead must not change any statistic.
+    let digest = s
+        .to_compact()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(digest, 0x6043_9f20_70d3_2817, "summary digest changed");
+}

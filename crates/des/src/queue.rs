@@ -122,7 +122,9 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+            // `HashSet::remove` hashes even on an empty set, and the
+            // simulator never cancels: test emptiness first.
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
                 continue;
             }
             self.live -= 1;
