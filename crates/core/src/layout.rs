@@ -116,12 +116,12 @@ pub struct GroupLayout {
     walk_memo: Vec<DiskId>,
     /// Per-group memo validity stamp (matches `memo_gen` when valid).
     walk_gen: Vec<u32>,
-    /// Deferred-index state: `false` between `finish_bulk_placement`
+    /// Deferred-index state: `false` between `begin_bulk_placement`
     /// and `build_reverse_index`, when per-disk loads live in
     /// `bulk_counts` and the spans are stale. The incremental
     /// `push_group` path keeps the index live throughout.
     index_built: bool,
-    /// Per-disk block counts from the bulk histogram (valid while the
+    /// Per-disk block counts kept by the bulk charges (valid while the
     /// index is deferred) and the scatter cursors that consume them.
     /// Kept on the struct so the per-trial rebuild reuses allocations.
     bulk_counts: Vec<u32>,
@@ -305,9 +305,8 @@ impl GroupLayout {
     /// Switch initial placement to bulk mode: size `homes` so the
     /// placement loop writes each group's homes in place via
     /// [`GroupLayout::group_homes_mut`] — no intermediate buffer, no
-    /// per-block `Vec` pushes. The reverse index is not touched until
-    /// [`GroupLayout::finish_bulk_placement`]; nothing reads it during
-    /// initial placement.
+    /// per-block `Vec` pushes. The reverse index is deferred from here
+    /// on (see [`GroupLayout::finish_bulk_placement`]).
     pub fn begin_bulk_placement(&mut self) {
         debug_assert_eq!(
             self.pushed_groups, 0,
@@ -316,6 +315,9 @@ impl GroupLayout {
         let blocks = self.n_groups as usize * self.blocks_per_group as usize;
         self.homes.clear();
         self.homes.resize(blocks, DiskId(0));
+        self.index_built = false;
+        self.bulk_counts.clear();
+        self.bulk_counts.resize(self.spans.len(), 0);
     }
 
     /// The writable homes slot of `group` during bulk placement.
@@ -325,45 +327,63 @@ impl GroupLayout {
         &mut self.homes[group as usize * n..(group as usize + 1) * n]
     }
 
-    /// [`GroupLayout::record_walk_prefix`] straight from a bulk-placed
-    /// group's homes slot, for callers that filled it in place.
-    #[inline]
-    pub fn record_walk_prefix_of(&mut self, group: u32) {
+    /// Charge every bulk-placed group's homes to the per-disk block
+    /// counts ([`GroupLayout::disk_load`] while the index is deferred)
+    /// in one pass with no per-block check. Counts only grow, so when no
+    /// disk ends above `room` blocks, every block found its disk below
+    /// `room` when charged, in any order. Returns `false`, with the
+    /// counts zeroed again, when some disk ends above `room`.
+    pub fn charge_all_groups(&mut self, room: u32) -> bool {
+        for &d in &self.homes {
+            self.bulk_counts[d.0 as usize] += 1;
+        }
+        let fits = self.bulk_counts.iter().all(|&c| c <= room);
+        if !fits {
+            self.bulk_counts.fill(0);
+        }
+        fits
+    }
+
+    /// Charge a bulk-placed group's homes to the per-disk block counts,
+    /// in group order after [`GroupLayout::charge_all_groups`] refused.
+    /// Returns `false`, with the charge undone, when one of them already
+    /// held `room` blocks.
+    pub fn charge_group(&mut self, group: u32, room: u32) -> bool {
         let n = self.blocks_per_group as usize;
-        let start = group as usize * n;
-        self.walk_memo[start..start + n].copy_from_slice(&self.homes[start..start + n]);
-        self.walk_gen[group as usize] = self.memo_gen;
+        let homes = &self.homes[group as usize * n..(group as usize + 1) * n];
+        let mut fits = true;
+        for &d in homes {
+            let c = &mut self.bulk_counts[d.0 as usize];
+            fits &= *c < room;
+            *c += 1;
+        }
+        if !fits {
+            for &d in homes {
+                self.bulk_counts[d.0 as usize] -= 1;
+            }
+        }
+        fits
     }
 
-    /// Memoize every group's walk prefix as its current homes in two
-    /// bulk array copies. Valid only right after an *unfiltered* bulk
-    /// placement, where each group's homes are exactly the first
-    /// `blocks_per_group` emissions of its walk — the optimistic
-    /// placement path's closing step.
-    pub fn memoize_all_walk_prefixes(&mut self) {
-        self.walk_memo.copy_from_slice(&self.homes);
-        self.walk_gen.fill(self.memo_gen);
-    }
-
-    /// Finish bulk placement: mark every group pushed and take the
-    /// per-disk load histogram in one pass over `homes`. The reverse
-    /// index itself is NOT built here — setup only needs per-disk
-    /// *counts* (capacity check, byte commit), so the arena scatter is
-    /// deferred to [`GroupLayout::build_reverse_index`], which the
-    /// first failure of the trial triggers from inside the event loop.
-    /// A histogram increment per block is ~3x cheaper than the scatter,
-    /// and trials that never lose a disk skip the scatter entirely.
-    pub fn finish_bulk_placement(&mut self) {
+    /// Finish bulk placement: mark every group pushed, and with
+    /// `memoize` take every group's homes as its walk prefix in two bulk
+    /// copies (valid for groups whose homes are their walk's first
+    /// `blocks_per_group` emissions; the caller forgets the rest with
+    /// [`GroupLayout::forget_walk_prefix`]). The reverse index is NOT
+    /// built here — setup only needs the per-disk *counts* the charges
+    /// kept (capacity check, byte commit), so the arena scatter is
+    /// deferred to [`GroupLayout::build_reverse_index`], which the first
+    /// failure of the trial triggers from inside the event loop. Trials
+    /// that never lose a disk skip the scatter entirely.
+    pub fn finish_bulk_placement(&mut self, memoize: bool) {
         debug_assert_eq!(
             self.homes.len(),
             self.n_groups as usize * self.blocks_per_group as usize
         );
         self.pushed_groups = self.n_groups;
-        self.index_built = false;
-        self.bulk_counts.clear();
-        self.bulk_counts.resize(self.spans.len(), 0);
-        for &d in &self.homes {
-            self.bulk_counts[d.0 as usize] += 1;
+        if memoize {
+            self.walk_memo.copy_from_slice(&self.homes);
+            self.walk_gen.fill(self.memo_gen);
         }
     }
 
@@ -491,6 +511,12 @@ impl GroupLayout {
         } else {
             &[]
         }
+    }
+
+    /// Drop `group`'s memoized walk prefix (0 is never a valid
+    /// generation).
+    pub fn forget_walk_prefix(&mut self, group: u32) {
+        self.walk_gen[group as usize] = 0;
     }
 
     /// Drop every memoized walk prefix in O(1) (generation bump). Only
@@ -712,9 +738,9 @@ mod tests {
             let homes = [d(g % 7), d((g + 2) % 7), d((g + 5) % 7)];
             inc.push_group(&homes);
             bulk.group_homes_mut(g).copy_from_slice(&homes);
-            bulk.record_walk_prefix_of(g);
         }
-        bulk.finish_bulk_placement();
+        assert!(bulk.charge_all_groups(u32::MAX));
+        bulk.finish_bulk_placement(true);
         for g in 0..16u32 {
             assert_eq!(inc.homes_of(g), bulk.homes_of(g));
             assert_eq!(bulk.walk_prefix(g), bulk.homes_of(g));
@@ -745,7 +771,14 @@ mod tests {
         for g in 0..40u32 {
             l.group_homes_mut(g).copy_from_slice(&[d(3), d(3)]);
         }
-        l.finish_bulk_placement();
+        assert!(!l.charge_all_groups(79));
+        assert_eq!(l.disk_load(d(3)), 0, "a refused bulk charge is undone");
+        for g in 0..40u32 {
+            assert_eq!(l.charge_group(g, 79), g < 39);
+        }
+        assert_eq!(l.disk_load(d(3)), 78, "a refused group charge is undone");
+        assert!(l.charge_group(39, 80));
+        l.finish_bulk_placement(false);
         assert_eq!(l.disk_load(d(3)), 80);
         l.build_reverse_index();
         assert_eq!(l.disk_load(d(3)), 80);

@@ -18,11 +18,12 @@
 
 use crate::layout::BlockRef;
 use crate::sim::Simulation;
-use farm_placement::{kernel, DiskId, RushScratch};
+use farm_placement::{kernel, DiskId};
 
 /// Per-trial delta-migration state: one clean bit per group, describing
-/// its walk under the current cluster map. Derived at the trial's first
-/// batch and carried forward batch by batch.
+/// its walk under the current cluster map. Initial placement reports
+/// every bit when the config has a replacement policy (its fill is the
+/// same test), and batches carry them forward.
 #[derive(Default)]
 pub(crate) struct Migration {
     clean: Vec<u64>,
@@ -31,18 +32,22 @@ pub(crate) struct Migration {
 }
 
 impl Migration {
-    fn is_clean(&self, group: u32) -> bool {
+    /// Size for `n_groups` groups of `n` blocks, every bit unclean.
+    pub(crate) fn reset(&mut self, n_groups: u32, n: usize) {
+        self.clean.clear();
+        self.clean.resize((n_groups as usize).div_ceil(64), 0);
+        self.homes.resize(n, DiskId(0));
+    }
+
+    pub(crate) fn is_clean(&self, group: u32) -> bool {
         self.clean[group as usize / 64] >> (group % 64) & 1 == 1
     }
 
-    fn set_clean(&mut self, group: u32, clean: bool) {
+    #[inline]
+    pub(crate) fn set_clean(&mut self, group: u32, clean: bool) {
         let word = &mut self.clean[group as usize / 64];
-        let bit = 1u64 << (group % 64);
-        if clean {
-            *word |= bit;
-        } else {
-            *word &= !bit;
-        }
+        let shift = group % 64;
+        *word = *word & !(1 << shift) | (clean as u64) << shift;
     }
 }
 
@@ -73,9 +78,6 @@ impl Simulation {
         let now = self.now();
         let mut mig = std::mem::take(&mut self.migration);
         let mut scratch = std::mem::take(&mut self.rush_scratch);
-        if self.metrics().batches_added == 0 {
-            self.derive_clean_bits(&mut mig, &mut scratch);
-        }
         // New drives carry the weight of the existing ones ("currently,
         // the weight of each disk is set to that of the existing drives
         // for simplicity", §3.5).
@@ -138,20 +140,5 @@ impl Simulation {
         self.metrics_mut().migrated_blocks += moved;
         self.rush_scratch = scratch;
         self.migration = mig;
-    }
-
-    /// Every group's clean bit under the trial's initial map (see
-    /// [`Rush::fill_walk`](farm_placement::Rush::fill_walk)).
-    fn derive_clean_bits(&self, mig: &mut Migration, scratch: &mut RushScratch) {
-        let n = self.layout().blocks_per_group() as usize;
-        let n_groups = self.layout().n_groups();
-        mig.clean.clear();
-        mig.clean.resize((n_groups as usize).div_ceil(64), 0);
-        mig.homes.resize(n, DiskId(0));
-        let rush = self.rush();
-        for g in 0..n_groups {
-            let clean = rush.fill_walk(self.cluster_map(), g as u64, scratch, &mut mig.homes);
-            mig.set_clean(g, clean);
-        }
     }
 }

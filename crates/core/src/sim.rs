@@ -148,8 +148,9 @@ pub struct Simulation {
     /// Reusable buffer for the batched placement engine's prehashed
     /// attempt-0 draws (index-major, [`kernel::LANES`] lanes per row).
     place_hashes: Vec<u64>,
-    /// Delta-migration state for batch replacement (empty until the
-    /// trial's first batch; see `replacement.rs`).
+    /// Delta-migration state for batch replacement: the clean bits
+    /// initial placement reports (empty without a replacement policy;
+    /// see `replacement.rs`).
     pub(crate) migration: Migration,
     /// Failed drives in the placement population since the last batch.
     pub(crate) failed_since_batch: u32,
@@ -357,73 +358,59 @@ impl Simulation {
         id
     }
 
-    /// Initial data placement: every group's n blocks go to the first n
-    /// RUSH candidates with room (capacity is a hard constraint; on
-    /// paper-scale systems at 40% utilization the first n candidates
-    /// essentially always fit).
+    /// Initial data placement, the sequential specification: group by
+    /// group, each group's n blocks go to the first n RUSH candidates
+    /// whose disk has room for a block (capacity is a hard constraint).
     ///
-    /// Fast path: all disks start empty, identically sized and active,
-    /// so while `max_used + block_bytes <= capacity` — a conservative
-    /// watermark over the fullest disk — `has_space_for` provably holds
-    /// for *every* candidate and the per-candidate check (a dependent
-    /// random-access load into the disk table) is skipped. Bit-identical
-    /// by construction: the skipped check always returned `true`. At the
-    /// paper's 40% utilization the slow path never triggers; it exists
-    /// for adversarially full configurations.
+    /// Each group is placed once. A fill pass writes every group's
+    /// *unfiltered* first n candidates; then the layout counts blocks per
+    /// disk. Every disk is active, empty and the same size at setup, so
+    /// a disk has room exactly when its count is below `disk_capacity /
+    /// block_bytes`. When no disk ends above that, every block found room
+    /// and the homes are the specification's. Otherwise the groups are
+    /// charged again in group order: a group whose n all had room keeps
+    /// them (the filtered walk's first n are these same n), and only one
+    /// that meets a full disk takes the space-filtered walk. The paper's
+    /// base config (100 GB blocks on 1 TB drives) fills some drive to its
+    /// 10 blocks in every trial, so that branch is live, not an edge
+    /// case. The unchecked count comes first because configs that never
+    /// fill a disk then pay no per-block check: charging each group with
+    /// a check inside the fill loop read 5–9% slower on
+    /// `rs_wide_groups`' setup (`BENCH_PR18.json`).
     ///
-    /// Batched engine: with [`kernel::engine_enabled`] and a uniform
-    /// (single-cluster) map, rounds of [`kernel::LANES`] groups prehash
-    /// their attempt-0 within-draws through the dispatched multi-lane
-    /// kernel; each group's walk then consumes its lane. Duplicate
-    /// candidates, attempts ≥ 1 and the fallback probe stay on the
-    /// sequential fold, so the emitted candidate sequence — and hence
-    /// every trial artifact — is byte-identical to the engine-off walk
-    /// by construction (pinned by `tests/placement_kernel_identity.rs`).
-    /// Fast-path groups also memoize their walk prefix in the layout so
-    /// recovery-target walks resume from the cached frontier instead of
-    /// rehashing the placement draws.
+    /// Three things come out of the same pass: the counts are the
+    /// layout's deferred-index histogram, every unfiltered group's homes
+    /// are its walk memo (with the engine on), and the fill reports each
+    /// group's migration clean bit (kept only when the config has batch
+    /// replacement; see `replacement.rs`).
+    ///
+    /// Batched engine: with [`kernel::engine_enabled`], strips of
+    /// [`kernel::LANES`]-group rounds prehash their attempt-0 draws
+    /// through the dispatched multi-lane kernel (the initial map is
+    /// always a single cluster); each group's fill then consumes its
+    /// lane. Duplicate candidates, attempts ≥ 1 and the fallback probe
+    /// stay on the sequential fold, so the emitted candidate sequence —
+    /// and hence every trial artifact — is byte-identical to the
+    /// engine-off walk by construction (pinned by
+    /// `tests/placement_kernel_identity.rs`).
     fn place_all_groups(&mut self) {
-        if self.place_all_groups_throughput() {
-            return;
-        }
-        // Some disk came within one block of capacity, so the optimistic
-        // run cannot prove it matches the per-group capacity checks of
-        // the sequential specification. Discard it (the reset drops the
-        // layout and its walk memos; disks were never charged) and
-        // replay with full tracking — identical output in every
-        // configuration both paths complete, because the optimistic run
-        // only commits when every group would have taken the careful
-        // path's capacity fast branch anyway.
-        let (n_groups, bpg, n_disks) = (
-            self.layout.n_groups(),
-            self.layout.blocks_per_group(),
-            self.layout.n_disks(),
-        );
-        self.layout.reset(n_groups, bpg, n_disks);
-        self.place_all_groups_careful();
-    }
-
-    /// The optimistic bulk fast path: place every group with no per-block
-    /// disk accounting, build the reverse index in one pass, then charge
-    /// disks from their span lengths — provided no disk ended within one
-    /// block of capacity (the paper's 40 % utilization never comes
-    /// close). Returns false, leaving the disks untouched, when that
-    /// margin is violated and the careful replay must decide.
-    fn place_all_groups_throughput(&mut self) -> bool {
         let n = self.cfg.scheme.n as usize;
         let block_bytes = self.cfg.block_bytes;
-        let capacity = self.cfg.disk_capacity;
+        let room = u32::try_from(self.cfg.disk_capacity / block_bytes).unwrap_or(u32::MAX);
         let n_groups = self.layout.n_groups();
-        let engine = kernel::engine_enabled() && self.map.n_clusters() == 1;
+        let engine = kernel::engine_enabled();
+        debug_assert_eq!(self.map.n_clusters(), 1, "setup places on the uniform map");
         let mut hashes = std::mem::take(&mut self.place_hashes);
-        // Homes are written straight into the layout's bulk slots; the
-        // reverse index is built in one pass at the end (same per-disk
-        // block order as the incremental path, so identical artifacts).
+        let mut filtered = Vec::new();
+        let track_clean = self.cfg.replacement.threshold.is_some();
+        if track_clean {
+            self.migration.reset(n_groups, n);
+        }
         self.layout.begin_bulk_placement();
         let lanes = kernel::LANES as u32;
         // Strips of STRIP_ROUNDS lane-rounds per kernel call amortize
         // dispatch, constant broadcasts and in-kernel key folding; the
-        // tail (< LANES groups) walks sequentially.
+        // tail (< LANES groups) fills sequentially.
         const STRIP_ROUNDS: u32 = 16;
         let prefix = self.rush.key_prefix();
         let row = n * kernel::LANES;
@@ -440,115 +427,21 @@ impl Simulation {
             };
             for s in 0..strip_groups {
                 let gi = g + s;
-                let pre = if prehashed {
+                // `n` prehashed draws per lane cover the whole fill, so a
+                // prehashed fill fails only at an attempt-0 collision:
+                // exactly when the walk is not clean.
+                let clean = if prehashed {
                     let r = (s / lanes) as usize;
-                    PreDraws::new(&hashes[r * row..(r + 1) * row], (s % lanes) as usize)
-                } else {
-                    PreDraws::empty()
-                };
-                let filled = prehashed
-                    && self.rush.fill_prehashed(
+                    let pre = PreDraws::new(&hashes[r * row..(r + 1) * row], (s % lanes) as usize);
+                    let filled = self.rush.fill_prehashed(
                         &self.map,
                         &mut self.rush_scratch,
                         pre,
                         self.layout.group_homes_mut(gi),
                     );
-                if !filled {
-                    // Engine off, or an attempt-0 collision: the generic
-                    // walk re-begins the scratch and emits the identical
-                    // sequence.
-                    let slot = self.layout.group_homes_mut(gi);
-                    let walk =
-                        self.rush
-                            .walk_prehashed(&self.map, gi as u64, &mut self.rush_scratch, pre);
-                    let mut got = 0;
-                    for d in walk {
-                        slot[got] = d;
-                        got += 1;
-                        if got == n {
-                            break;
-                        }
-                    }
-                    assert_eq!(got, n, "system too full to place group {gi}");
-                }
-            }
-            g += strip_groups;
-        }
-        self.layout.finish_bulk_placement();
-        self.place_hashes = hashes;
-        let mut max_blocks = 0u64;
-        for di in 0..self.layout.n_disks() {
-            max_blocks = max_blocks.max(self.layout.disk_load(DiskId(di)) as u64);
-        }
-        if max_blocks * block_bytes + block_bytes > capacity {
-            return false;
-        }
-        // Unfiltered placement means every group's homes are its walk's
-        // first n emissions — the whole homes array is a valid memo.
-        if engine {
-            self.layout.memoize_all_walk_prefixes();
-        }
-        for (di, disk) in self.disks.iter_mut().enumerate() {
-            let bytes = self.layout.disk_load(DiskId(di as u32)) as u64 * block_bytes;
-            if bytes > 0 {
-                disk.allocate(bytes);
-            }
-        }
-        true
-    }
-
-    /// The sequential specification: per-group capacity fast-path check,
-    /// per-block disk charging, space-filtered walks once any disk is
-    /// within one block of full. Only runs when
-    /// [`Simulation::place_all_groups_throughput`] bails.
-    fn place_all_groups_careful(&mut self) {
-        let n = self.cfg.scheme.n as usize;
-        let block_bytes = self.cfg.block_bytes;
-        let capacity = self.cfg.disk_capacity;
-        let n_groups = self.layout.n_groups();
-        let engine = kernel::engine_enabled() && self.map.n_clusters() == 1;
-        let mut hashes = std::mem::take(&mut self.place_hashes);
-        self.layout.begin_bulk_placement();
-        let mut max_used = 0u64;
-        let lanes = kernel::LANES as u32;
-        const STRIP_ROUNDS: u32 = 16;
-        let prefix = self.rush.key_prefix();
-        let row = n * kernel::LANES;
-        let mut g = 0u32;
-        while g < n_groups {
-            let rounds = ((n_groups - g) / lanes).min(STRIP_ROUNDS);
-            // One emission consumes exactly one candidate index, so `n`
-            // prehashed indices per lane cover every fast-path walk; a
-            // lane only outruns its prehash when attempt-0 draws collide,
-            // and then only past the prehashed range.
-            let prehashed = engine && rounds > 0;
-            let strip_groups = if prehashed {
-                hashes.resize(rounds as usize * row, 0);
-                kernel::draw_hashes_strip(prefix, g as u64, rounds as usize, n, &mut hashes);
-                rounds * lanes
-            } else {
-                n_groups - g
-            };
-            for s in 0..strip_groups {
-                let gi = g + s;
-                let pre = if prehashed {
-                    let r = (s / lanes) as usize;
-                    PreDraws::new(&hashes[r * row..(r + 1) * row], (s % lanes) as usize)
-                } else {
-                    PreDraws::empty()
-                };
-                if max_used + block_bytes <= capacity {
-                    let filled = prehashed
-                        && self.rush.fill_prehashed(
-                            &self.map,
-                            &mut self.rush_scratch,
-                            pre,
-                            self.layout.group_homes_mut(gi),
-                        );
                     if !filled {
-                        // Engine off, or an attempt-0 collision: the
-                        // generic walk re-begins the scratch and emits
-                        // the identical sequence.
+                        // The generic walk re-begins the scratch and
+                        // emits the identical sequence the slow way.
                         let slot = self.layout.group_homes_mut(gi);
                         let walk = self.rush.walk_prehashed(
                             &self.map,
@@ -566,42 +459,65 @@ impl Simulation {
                         }
                         assert_eq!(got, n, "system too full to place group {gi}");
                     }
-                    // On the fast path the slot holds exactly the walk's
-                    // first n emissions in order — a valid resume
-                    // prefix. (The slow path filters, so its homes are
-                    // not; those groups just stay unmemoized.)
-                    if engine {
-                        self.layout.record_walk_prefix_of(gi);
-                    }
+                    filled
                 } else {
-                    let slot = self.layout.group_homes_mut(gi);
-                    let walk =
-                        self.rush
-                            .walk_prehashed(&self.map, gi as u64, &mut self.rush_scratch, pre);
-                    let mut got = 0;
-                    for d in walk {
-                        if self.disks[d.0 as usize].has_space_for(block_bytes) {
-                            slot[got] = d;
-                            got += 1;
-                            if got == n {
-                                break;
-                            }
-                        }
-                    }
-                    assert_eq!(got, n, "system too full to place group {gi}");
-                }
-                for &d in self.layout.homes_of(gi) {
-                    let disk = &mut self.disks[d.0 as usize];
-                    disk.allocate(block_bytes);
-                    if disk.used > max_used {
-                        max_used = disk.used;
-                    }
+                    self.rush.fill_walk(
+                        &self.map,
+                        gi as u64,
+                        &mut self.rush_scratch,
+                        self.layout.group_homes_mut(gi),
+                    )
+                };
+                if track_clean {
+                    self.migration.set_clean(gi, clean);
                 }
             }
             g += strip_groups;
         }
-        self.layout.finish_bulk_placement();
         self.place_hashes = hashes;
+        // Some disk would end above its room, so charge in group order:
+        // each group's check then sees exactly the groups before it, and
+        // the filtered walk only the charges of earlier groups.
+        if !self.layout.charge_all_groups(room) {
+            for gi in 0..n_groups {
+                if !self.layout.charge_group(gi, room) {
+                    self.place_filtered(gi, room);
+                    filtered.push(gi);
+                }
+            }
+        }
+        self.layout.finish_bulk_placement(engine);
+        for &gi in &filtered {
+            self.layout.forget_walk_prefix(gi);
+        }
+        for (di, disk) in self.disks.iter_mut().enumerate() {
+            let bytes = self.layout.disk_load(DiskId(di as u32)) as u64 * block_bytes;
+            if bytes > 0 {
+                disk.allocate(bytes);
+            }
+        }
+    }
+
+    /// The space-filtered walk for a group whose unfiltered first n
+    /// candidates hit a full disk: take the first n candidates whose
+    /// disk holds fewer than `room` blocks, and charge them.
+    #[cold]
+    fn place_filtered(&mut self, gi: u32, room: u32) {
+        let n = self.layout.blocks_per_group() as usize;
+        let walk = self.rush.walk(&self.map, gi as u64, &mut self.rush_scratch);
+        let mut got = 0;
+        for d in walk {
+            if self.layout.disk_load(d) < room {
+                self.layout.group_homes_mut(gi)[got] = d;
+                got += 1;
+                if got == n {
+                    break;
+                }
+            }
+        }
+        assert_eq!(got, n, "system too full to place group {gi}");
+        let charged = self.layout.charge_group(gi, room);
+        debug_assert!(charged, "the filtered walk only takes disks with room");
     }
 
     // ----- accessors -----------------------------------------------------

@@ -204,6 +204,83 @@ fn walk_prefix_memo_survives_growth_exactly() {
 }
 
 #[test]
+fn placement_pass_matches_the_sequential_specification_when_disks_fill() {
+    // The paper's block and drive sizes (100 GiB mirrored blocks on
+    // 1 TiB drives at 40% fill): a drive has room for 10 blocks against
+    // a mean load of 4.1, so some drive fills during placement and later
+    // groups must skip it. The replacement policy makes placement keep
+    // the migration clean bits.
+    let cfg = SystemConfig {
+        total_user_bytes: 200 * TIB,
+        replacement: ReplacementPolicy::at_fraction(0.02),
+        ..SystemConfig::default()
+    };
+    let mut filtered = 0u32;
+    for seed in 0..4 {
+        let sim = Simulation::new(cfg.clone(), seed);
+        let layout = sim.layout();
+        let n = layout.blocks_per_group() as usize;
+        let block_bytes = sim.prepared().block_bytes;
+        let capacity = sim.config().disk_capacity;
+        let rush = sim.rush();
+        let map = sim.cluster_map();
+        let mut scratch = farm_placement::RushScratch::new();
+        let mut fill = vec![farm_placement::DiskId(0); n];
+        // The specification: each group, in order, takes the first n
+        // candidates whose disk has room for a block, charging as it goes.
+        let mut used = vec![0u64; map.n_disks() as usize];
+        for g in 0..layout.n_groups() {
+            let walked: Vec<_> = rush.walk(map, g as u64, &mut scratch).take(n).collect();
+            let homes: Vec<_> = rush
+                .walk(map, g as u64, &mut scratch)
+                .filter(|d| used[d.0 as usize] + block_bytes <= capacity)
+                .take(n)
+                .collect();
+            for d in &homes {
+                used[d.0 as usize] += block_bytes;
+            }
+            assert_eq!(
+                layout.homes_of(g),
+                &homes[..],
+                "seed {seed}: group {g} homes"
+            );
+            let prefix = layout.walk_prefix(g);
+            if homes == walked {
+                if farm_placement::kernel::engine_enabled() {
+                    assert_eq!(prefix, &walked[..], "seed {seed}: group {g} memo");
+                }
+            } else {
+                filtered += 1;
+                assert!(
+                    prefix.is_empty(),
+                    "seed {seed}: filtered group {g} memoized"
+                );
+            }
+            let clean = rush.fill_walk(map, g as u64, &mut scratch, &mut fill);
+            assert_eq!(
+                sim.migration.is_clean(g),
+                clean,
+                "seed {seed}: group {g} clean bit"
+            );
+        }
+        for (di, &bytes) in used.iter().enumerate() {
+            let d = farm_placement::DiskId(di as u32);
+            assert_eq!(sim.disk(d).used, bytes, "seed {seed}: disk {di} bytes");
+            assert_eq!(
+                layout.disk_load(d) as u64 * block_bytes,
+                bytes,
+                "seed {seed}: disk {di} blocks"
+            );
+            assert!(bytes <= capacity, "seed {seed}: disk {di} over capacity");
+        }
+    }
+    assert!(
+        filtered > 0,
+        "no group was filtered: the test lost its subject"
+    );
+}
+
+#[test]
 fn dead_groups_stay_dead_and_are_counted_once() {
     let cfg = SystemConfig {
         hazard: Hazard::table1().with_multiplier(30.0),

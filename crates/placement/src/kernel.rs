@@ -8,6 +8,8 @@
 //! are independent, which is exactly the shape SIMD (and scalar
 //! instruction-level parallelism) eats: compute candidate index `i` for
 //! [`LANES`] groups at once, keeping eight multiply chains in flight.
+//! Two kernels do it: AVX-512, which has a native 64-bit multiply, where
+//! the CPU has it, and the portable scalar core everywhere else.
 //!
 //! A kernel computes only the *attempt-0, single-cluster* within-hash
 //!
@@ -27,7 +29,7 @@
 //!
 //! Dispatch mirrors `farm_erasure::gf256::kernel`: probed once per
 //! process with `is_x86_feature_detected!`, cached in a process-global
-//! atomic, overridable with `FARM_PLACE_KERNEL=scalar|sse2|avx2|avx512`
+//! atomic, overridable with `FARM_PLACE_KERNEL=scalar|avx512`
 //! (an unsupported or unknown value logs one stderr notice and falls
 //! back to autodetection rather than crashing). The batched engine as a
 //! whole — prehashing *and* the memoized walk prefixes it feeds (see
@@ -38,9 +40,9 @@
 use crate::hash::{self, COMBINE_A, COMBINE_B, MIX_INC, MIX_M1, MIX_M2};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Groups hashed per batched round. Eight 64-bit lanes fill two AVX2
-/// registers, four SSE2 registers, or eight scalar chains — enough to
-/// hide the ~3-cycle multiply latency on every path.
+/// Groups hashed per batched round. Eight 64-bit lanes fill one
+/// AVX-512 register or eight scalar chains — enough to hide the
+/// ~3-cycle multiply latency on both paths.
 pub const LANES: usize = 8;
 
 /// `0xD2 * COMBINE_B`: the tag word's side of the final `combine`,
@@ -48,28 +50,22 @@ pub const LANES: usize = 8;
 const D2_B: u64 = 0xD2u64.wrapping_mul(COMBINE_B);
 
 /// One batched placement-hash kernel. `Scalar` is the portable
-/// reference (eight independent chains, ILP only); `Sse2` and `Avx2`
-/// vectorize the chain across 64-bit lanes with a composed
-/// three-`mul_epu32` 64-bit multiply; `Avx512` holds all eight lanes in
-/// one register and multiplies natively (`vpmullq`, AVX-512DQ). All
-/// four compute the identical function.
+/// reference and the fallback (eight independent chains, ILP only);
+/// `Avx512` holds all eight lanes in one register and multiplies
+/// natively (`vpmullq`, AVX-512DQ). Both compute the identical function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kernel {
     Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
-    Avx512 = 3,
+    Avx512 = 1,
 }
 
 impl Kernel {
-    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::Sse2, Kernel::Avx2, Kernel::Avx512];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Avx512];
 
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Sse2 => "sse2",
-            Kernel::Avx2 => "avx2",
             Kernel::Avx512 => "avx512",
         }
     }
@@ -77,22 +73,15 @@ impl Kernel {
     pub fn parse(s: &str) -> Option<Kernel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Kernel::Scalar),
-            "sse2" => Some(Kernel::Sse2),
-            "avx2" => Some(Kernel::Avx2),
             "avx512" => Some(Kernel::Avx512),
             _ => None,
         }
     }
 
-    /// Can this kernel run on the current CPU? (SSE2 is part of the
-    /// x86-64 baseline, so on that target it is always available.)
+    /// Can this kernel run on the current CPU?
     pub fn supported(self) -> bool {
         match self {
             Kernel::Scalar => true,
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Kernel::Avx512 => {
                 is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
@@ -102,14 +91,11 @@ impl Kernel {
         }
     }
 
-    /// The kernel runtime dispatch would pick: the widest supported one.
+    /// The kernel runtime dispatch would pick: AVX-512 where the CPU
+    /// has it, scalar otherwise.
     pub fn detect() -> Kernel {
         if Kernel::Avx512.supported() {
             Kernel::Avx512
-        } else if Kernel::Avx2.supported() {
-            Kernel::Avx2
-        } else if Kernel::Sse2.supported() {
-            Kernel::Sse2
         } else {
             Kernel::Scalar
         }
@@ -140,7 +126,7 @@ impl Kernel {
                 None => {
                     eprintln!(
                         "farm-placement: unknown FARM_PLACE_KERNEL={raw:?} \
-                         (expected scalar|sse2|avx2|avx512); falling back to {}",
+                         (expected scalar|avx512); falling back to {}",
                         detected.name()
                     );
                     detected
@@ -161,12 +147,6 @@ impl Kernel {
             Kernel::Scalar => draw_hashes_scalar(gkeys, n_idx, out),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             // SAFETY: `supported()` verified the ISA above.
-            Kernel::Sse2 => unsafe { draw_hashes_sse2(gkeys, n_idx, out) },
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: `supported()` verified the ISA above.
-            Kernel::Avx2 => unsafe { draw_hashes_avx2(gkeys, n_idx, out) },
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: `supported()` verified the ISA above.
             Kernel::Avx512 => unsafe { draw_hashes_avx512(gkeys, n_idx, out) },
             #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
             _ => unreachable!("non-x86 builds only support the scalar kernel"),
@@ -181,8 +161,8 @@ impl Kernel {
     /// key folding that a per-round [`Kernel::run`] pays every eight
     /// groups. AVX-512 runs the strip fused (the per-lane `group ·
     /// COMBINE_B` term advances by one vector add per round); the
-    /// narrower kernels fold keys through the scalar `combine` and
-    /// reuse their per-round cores — identical output either way.
+    /// scalar kernel folds keys through `combine` and reuses its
+    /// per-round core — identical output either way.
     pub fn run_strip(
         self,
         prefix: u64,
@@ -331,18 +311,10 @@ fn draw_hashes_scalar(gkeys: &[u64; LANES], n_idx: usize, out: &mut [u64]) {
     }
 }
 
-// ----- x86 vector cores ---------------------------------------------------
+// ----- AVX-512 cores -------------------------------------------------------
 //
-// Neither SSE2 nor AVX2 has a 64×64→64 low multiply, so it is composed
-// from three 32×32→64 `mul_epu32` halves:
-//
-//   a·c = (a_lo·c_lo) + ((a_lo·c_hi + a_hi·c_lo) << 32)
-//
-// The multiplier `c` is always a compile-time hash constant, so its two
-// broadcast halves are hoisted out of the loop. The rest of `mix64` /
-// `combine` is shifts, XORs and one 64-bit add — all native at both
-// widths. The per-index chain is the same four `combine`s as the scalar
-// core, wrapping arithmetic throughout, hence bit-identical output.
+// The per-index chain is the same four `combine`s as the scalar core,
+// wrapping arithmetic throughout, hence bit-identical output.
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
@@ -352,67 +324,8 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// SAFETY: caller verified SSE2 (x86-64 baseline; probed on x86).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn draw_hashes_sse2(gkeys: &[u64; LANES], n_idx: usize, out: &mut [u64]) {
-        // `a * c` per 64-bit lane, `c` a constant with hoisted halves.
-        #[inline(always)]
-        unsafe fn mul64(a: __m128i, c: __m128i, c_hi: __m128i) -> __m128i {
-            let cross = _mm_add_epi64(
-                _mm_mul_epu32(a, c_hi),
-                _mm_mul_epu32(_mm_srli_epi64::<32>(a), c),
-            );
-            _mm_add_epi64(_mm_mul_epu32(a, c), _mm_slli_epi64::<32>(cross))
-        }
-        #[inline(always)]
-        unsafe fn mix(
-            mut z: __m128i,
-            inc: __m128i,
-            m1: __m128i,
-            m1h: __m128i,
-            m2: __m128i,
-            m2h: __m128i,
-        ) -> __m128i {
-            z = _mm_add_epi64(z, inc);
-            z = mul64(_mm_xor_si128(z, _mm_srli_epi64::<30>(z)), m1, m1h);
-            z = mul64(_mm_xor_si128(z, _mm_srli_epi64::<27>(z)), m2, m2h);
-            _mm_xor_si128(z, _mm_srli_epi64::<31>(z))
-        }
-
-        let a = _mm_set1_epi64x(COMBINE_A as i64);
-        let a_hi = _mm_set1_epi64x((COMBINE_A >> 32) as i64);
-        let inc = _mm_set1_epi64x(MIX_INC as i64);
-        let m1 = _mm_set1_epi64x(MIX_M1 as i64);
-        let m1h = _mm_set1_epi64x((MIX_M1 >> 32) as i64);
-        let m2 = _mm_set1_epi64x(MIX_M2 as i64);
-        let m2h = _mm_set1_epi64x((MIX_M2 >> 32) as i64);
-        let d2b = _mm_set1_epi64x(D2_B as i64);
-        // Four registers of two lanes each.
-        let g: [__m128i; 4] =
-            std::array::from_fn(|r| _mm_set_epi64x(gkeys[2 * r + 1] as i64, gkeys[2 * r] as i64));
-        for i in 0..n_idx {
-            let i_b = _mm_set1_epi64x((i as u64).wrapping_mul(COMBINE_B) as i64);
-            for (r, &gk) in g.iter().enumerate() {
-                let mut h = mix(
-                    _mm_xor_si128(mul64(gk, a, a_hi), i_b),
-                    inc,
-                    m1,
-                    m1h,
-                    m2,
-                    m2h,
-                );
-                h = mix(mul64(h, a, a_hi), inc, m1, m1h, m2, m2h);
-                h = mix(mul64(h, a, a_hi), inc, m1, m1h, m2, m2h);
-                h = mix(_mm_xor_si128(mul64(h, a, a_hi), d2b), inc, m1, m1h, m2, m2h);
-                _mm_storeu_si128(out.as_mut_ptr().add(i * LANES + 2 * r) as *mut __m128i, h);
-            }
-        }
-    }
-
     /// All eight lanes in one 512-bit register, with the native 64-bit
-    /// low multiply (`vpmullq`) replacing the three-`mul_epu32`
-    /// composition — the chain is twelve multiplies per candidate row
-    /// instead of thirty-six 32×32 halves plus their shifts and adds.
+    /// low multiply (`vpmullq`): twelve multiplies per candidate row.
     ///
     /// SAFETY: caller verified AVX-512F + AVX-512DQ via
     /// `is_x86_feature_detected!`.
@@ -539,79 +452,10 @@ mod x86 {
             r += 1;
         }
     }
-
-    /// SAFETY: caller verified AVX2 via `is_x86_feature_detected!`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn draw_hashes_avx2(gkeys: &[u64; LANES], n_idx: usize, out: &mut [u64]) {
-        #[inline(always)]
-        unsafe fn mul64(a: __m256i, c: __m256i, c_hi: __m256i) -> __m256i {
-            let cross = _mm256_add_epi64(
-                _mm256_mul_epu32(a, c_hi),
-                _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), c),
-            );
-            _mm256_add_epi64(_mm256_mul_epu32(a, c), _mm256_slli_epi64::<32>(cross))
-        }
-        #[inline(always)]
-        unsafe fn mix(
-            mut z: __m256i,
-            inc: __m256i,
-            m1: __m256i,
-            m1h: __m256i,
-            m2: __m256i,
-            m2h: __m256i,
-        ) -> __m256i {
-            z = _mm256_add_epi64(z, inc);
-            z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)), m1, m1h);
-            z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), m2, m2h);
-            _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
-        }
-
-        let a = _mm256_set1_epi64x(COMBINE_A as i64);
-        let a_hi = _mm256_set1_epi64x((COMBINE_A >> 32) as i64);
-        let inc = _mm256_set1_epi64x(MIX_INC as i64);
-        let m1 = _mm256_set1_epi64x(MIX_M1 as i64);
-        let m1h = _mm256_set1_epi64x((MIX_M1 >> 32) as i64);
-        let m2 = _mm256_set1_epi64x(MIX_M2 as i64);
-        let m2h = _mm256_set1_epi64x((MIX_M2 >> 32) as i64);
-        let d2b = _mm256_set1_epi64x(D2_B as i64);
-        // Two registers of four lanes each.
-        let g: [__m256i; 2] = std::array::from_fn(|r| {
-            _mm256_set_epi64x(
-                gkeys[4 * r + 3] as i64,
-                gkeys[4 * r + 2] as i64,
-                gkeys[4 * r + 1] as i64,
-                gkeys[4 * r] as i64,
-            )
-        });
-        for i in 0..n_idx {
-            let i_b = _mm256_set1_epi64x((i as u64).wrapping_mul(COMBINE_B) as i64);
-            for (r, &gk) in g.iter().enumerate() {
-                let mut h = mix(
-                    _mm256_xor_si256(mul64(gk, a, a_hi), i_b),
-                    inc,
-                    m1,
-                    m1h,
-                    m2,
-                    m2h,
-                );
-                h = mix(mul64(h, a, a_hi), inc, m1, m1h, m2, m2h);
-                h = mix(mul64(h, a, a_hi), inc, m1, m1h, m2, m2h);
-                h = mix(
-                    _mm256_xor_si256(mul64(h, a, a_hi), d2b),
-                    inc,
-                    m1,
-                    m1h,
-                    m2,
-                    m2h,
-                );
-                _mm256_storeu_si256(out.as_mut_ptr().add(i * LANES + 4 * r) as *mut __m256i, h);
-            }
-        }
-    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-use x86::{draw_hashes_avx2, draw_hashes_avx512, draw_hashes_sse2, draw_strip_avx512};
+use x86::{draw_hashes_avx512, draw_strip_avx512};
 
 #[cfg(test)]
 mod tests {
@@ -634,6 +478,9 @@ mod tests {
             assert_eq!(Kernel::from_u8(k as u8), Some(k));
         }
         assert_eq!(Kernel::parse("neon"), None);
+        // Only the two kernels parse; any other name is unknown.
+        assert_eq!(Kernel::parse("sse2"), None);
+        assert_eq!(Kernel::parse("avx2"), None);
         assert_eq!(Kernel::parse(""), None);
     }
 

@@ -1,7 +1,7 @@
 //! CPU-support probe for the batched RUSH placement kernels.
 //!
 //! ```text
-//! cargo run --release -p farm-experiments --example place_kernel_probe -- avx2
+//! cargo run --release -p farm-experiments --example place_kernel_probe -- avx512
 //! ```
 //!
 //! Exits 0 when the named kernel can run on this host, 2 when the CPU

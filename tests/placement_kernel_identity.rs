@@ -1,6 +1,6 @@
 //! Cross-kernel byte-identity of the placement engine.
 //!
-//! The batched RUSH placement kernels (scalar, SSE2, AVX2) are selected
+//! The batched RUSH placement kernels (scalar, AVX-512) are selected
 //! at runtime, and the engine memoizes walk prefixes that recovery
 //! replays, so a dispatch or memo bug would silently change simulation
 //! results depending on the host CPU or engine toggle. This test pins
@@ -157,6 +157,21 @@ fn placement_is_byte_identical_across_kernels_and_engine_modes() {
                 "{name}: initial layout differs under {k} (engine on vs off)"
             );
         }
+    }
+
+    // --- the filtered branch: a `lossy` drive holds 6 blocks against a
+    // mean load of ~2.6, so some drive fills during placement and a later
+    // group skips it. Such a group keeps no walk memo, so an empty
+    // prefix with the engine on marks it, and the engine-on vs engine-off
+    // equality above and below pins that branch too.
+    kernel::set_engine_enabled(true);
+    for seed in [derive_seed(0x9A7C, 1), derive_seed(0x51AB, 0)] {
+        let sim = Simulation::new(lossy(), seed);
+        let layout = sim.layout();
+        assert!(
+            (0..layout.n_groups()).any(|g| layout.walk_prefix(g).is_empty()),
+            "lossy: no group took the filtered walk"
+        );
     }
 
     // --- whole-trial equality: metrics (counters, f64 bits, histograms)
