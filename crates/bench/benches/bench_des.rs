@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use farm_des::rng::SeedFactory;
 use farm_des::time::Duration;
-use farm_des::{CalendarQueue, EventQueue, SimTime};
+use farm_des::{EventQueue, SimTime};
 use farm_disk::failure::Hazard;
 use std::hint::black_box;
 
@@ -25,39 +25,6 @@ fn bench_queue_churn(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn bench_calendar_vs_heap(c: &mut Criterion) {
-    // The classic DES queue bake-off on a steady-state churn workload.
-    let mut group = c.benchmark_group("des/calendar_vs_heap_churn_10k");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("heap", |b| {
-        let mut q = EventQueue::new();
-        let mut rng = SeedFactory::new(7).stream(0);
-        let mut now = 0.0;
-        for _ in 0..10_000 {
-            q.schedule(SimTime::from_secs(rng.uniform() * 1e4), 0u32);
-        }
-        b.iter(|| {
-            let (t, e) = q.pop().expect("full");
-            now = t.as_secs();
-            q.schedule(SimTime::from_secs(now + rng.uniform() * 1e3), black_box(e));
-        })
-    });
-    group.bench_function("calendar", |b| {
-        let mut q = CalendarQueue::new();
-        let mut rng = SeedFactory::new(7).stream(0);
-        let mut now = 0.0;
-        for _ in 0..10_000 {
-            q.schedule(SimTime::from_secs(rng.uniform() * 1e4), 0u32);
-        }
-        b.iter(|| {
-            let (t, e) = q.pop().expect("full");
-            now = t.as_secs();
-            q.schedule(SimTime::from_secs(now + rng.uniform() * 1e3), black_box(e));
-        })
-    });
     group.finish();
 }
 
@@ -95,7 +62,6 @@ fn bench_ttf_sampling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queue_churn,
-    bench_calendar_vs_heap,
     bench_queue_cancel,
     bench_ttf_sampling
 );

@@ -37,17 +37,12 @@
 //! Re-running with an existing label replaces that label's entry, so a
 //! "before" run survives an "after" run of the same file.
 //!
-//! The workspace-recycling win is recorded as a before/after pair:
-//! `FARM_WORKSPACE=0 report --label before` then `report --label after`
-//! (each run's `workspace_reuse` field says which mode produced it).
-//!
 //! `--smoke` shrinks the trial counts ~20× for a CI smoke run (numbers
 //! are noisy; the point is that the pipeline works end to end).
 
 use farm_bench::json::Json;
 use farm_bench::rss::peak_rss_bytes;
 use farm_core::prelude::*;
-use farm_core::workspace_reuse_enabled;
 use farm_des::rng::derive_seed;
 use farm_obs::{
     ConvergenceSpec, EventProfile, ObsOptions, SpanFormat, SpansSpec, StatusSpec, TimelineSpec,
@@ -432,8 +427,7 @@ fn measure(spec: &ConfigSpec) -> RunResult {
 
     // Single-threaded timed run: the per-core throughput number that
     // optimizations must move. Driven through the same per-worker
-    // workspace the Monte-Carlo drivers use (honouring
-    // `FARM_WORKSPACE`), with per-trial setup and the event loop timed
+    // workspace the Monte-Carlo runner uses, with per-trial setup and the event loop timed
     // separately — `Simulation::new` used to dominate the trial, so the
     // split is tracked explicitly.
     let prepared = Arc::new(PreparedConfig::new(spec.cfg.clone()));
@@ -962,10 +956,6 @@ fn merge_into(
         ("label".into(), Json::str(label)),
         ("notes".into(), Json::str(notes)),
         ("host".into(), host_metadata()),
-        (
-            "workspace_reuse".into(),
-            Json::Bool(workspace_reuse_enabled()),
-        ),
         ("gf_kernel".into(), gf_kernel),
         ("place_kernel".into(), place_kernel),
         ("fleet_scaling".into(), fleet_scaling),

@@ -8,7 +8,6 @@
 //! environment variables instead.
 
 use farm_des::time::Duration;
-use farm_des::QueueKind;
 use farm_disk::failure::Hazard;
 use farm_disk::health::SmartConfig;
 use farm_disk::model::{GIB, MIB, PIB, TIB};
@@ -128,10 +127,6 @@ pub struct SystemConfig {
     /// Model per-disk recovery-bandwidth contention (rebuilds sharing a
     /// disk queue). Disabling it is the "infinite parallelism" ablation.
     pub model_contention: bool,
-    /// Future-event-list implementation. Both kinds produce bit-identical
-    /// trials (pop order is fully specified); this only trades constant
-    /// factors in the event loop.
-    pub queue: QueueKind,
 }
 
 impl Default for SystemConfig {
@@ -154,7 +149,6 @@ impl Default for SystemConfig {
             latent: None,
             target_policy: TargetPolicy::CandidateWalk,
             model_contention: true,
-            queue: QueueKind::default(),
         }
     }
 }

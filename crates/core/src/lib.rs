@@ -50,8 +50,7 @@ pub use config::{PreparedConfig, RecoveryPolicy, ReplacementPolicy, SystemConfig
 pub use layout::{BlockRef, GroupLayout};
 pub use metrics::{McSummary, TrialMetrics};
 pub use montecarlo::{
-    run_trial, run_trials, run_trials_observed, run_trials_with_threads, workspace_reuse_enabled,
-    TrialMode, TrialWorkspace,
+    run_trial, run_trials, run_trials_observed, run_trials_with_threads, TrialMode, TrialWorkspace,
 };
 pub use sim::{Event, Simulation};
 
@@ -67,7 +66,6 @@ pub mod prelude {
     };
     pub use crate::sim::Simulation;
     pub use farm_des::time::Duration;
-    pub use farm_des::QueueKind;
     pub use farm_disk::model::{GIB, MIB, PIB, TIB};
     pub use farm_erasure::Scheme;
 }

@@ -14,11 +14,17 @@
 //! through the same *canonical chunked fold*: trials are grouped into
 //! fixed [`CHUNK_TRIALS`]-sized chunks, each chunk's summary is built
 //! by pushing its trials in ascending order, and the final summary is
-//! a left fold of the chunk summaries in ascending chunk order. Workers
-//! (threads or processes) race to *claim* chunks but never change what
-//! a chunk contains or where it lands in the fold, so `threads=1`,
-//! `threads=N` and any fleet partition of the chunk space produce
-//! bit-identical summaries.
+//! a left fold of the chunk summaries in ascending chunk order
+//! ([`fold_chunk_summaries`]).
+//!
+//! One private chunk-range runner builds and commits the chunks for
+//! both entry points: [`run_trials_observed`] runs the whole campaign
+//! (with the live monitor, the convergence stream and the stopping
+//! rule), and [`run_trial_chunks_observed`] runs a fleet worker's share.
+//! Workers (threads, and processes in a fleet) race to *claim* chunks
+//! but never change what a chunk contains or where it lands in the
+//! fold, so `threads=1`, `threads=N` and any fleet partition of the
+//! chunk space produce bit-identical summaries.
 
 use crate::config::{PreparedConfig, SystemConfig};
 use crate::metrics::{McSummary, TrialMetrics};
@@ -30,6 +36,7 @@ use farm_obs::{
     WorkerShard,
 };
 use std::io::Write;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,23 +99,20 @@ pub fn run_trial(
 /// trials are bit-identical to fresh ones (see
 /// `tests/workspace_identity.rs`), so this is purely a throughput
 /// optimization.
-///
-/// Setting `FARM_WORKSPACE=0` (or `off`) disables reuse and rebuilds
-/// the simulation per trial — the benchmark harness uses this to
-/// measure the recycling win, and CI diffs the two modes.
 pub struct TrialWorkspace {
     sim: Option<Simulation>,
     reuse: bool,
 }
 
 impl TrialWorkspace {
-    /// A workspace honouring the `FARM_WORKSPACE` environment knob.
+    /// A workspace that recycles its simulation across trials.
     pub fn new() -> Self {
-        Self::with_reuse(workspace_reuse_enabled())
+        Self::with_reuse(true)
     }
 
-    /// A workspace with reuse explicitly on or off (tests use this to
-    /// compare the two modes without touching process-global state).
+    /// A workspace with reuse explicitly on or off. Reuse off builds a
+    /// fresh simulation per trial: the reference that identity tests
+    /// and the benchmark's recycling probe compare against.
     pub fn with_reuse(reuse: bool) -> Self {
         TrialWorkspace { sim: None, reuse }
     }
@@ -128,18 +132,6 @@ impl TrialWorkspace {
 impl Default for TrialWorkspace {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Is per-worker workspace reuse enabled? Defaults to on; set
-/// `FARM_WORKSPACE=0` (or `off`) to rebuild every trial from scratch.
-pub fn workspace_reuse_enabled() -> bool {
-    match std::env::var("FARM_WORKSPACE") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => true,
     }
 }
 
@@ -163,14 +155,15 @@ struct TrialSideband {
     wall_secs: f64,
 }
 
-/// A finished chunk a worker cannot commit yet: under the sequential
-/// stopping rule, a chunk may only enter the batch aggregate once every
-/// stop boundary at or below its upper bound has been decided —
-/// otherwise a later "stop at B" verdict would leave trials `>= B`
-/// already baked into the summary. Stop boundaries are chunk-aligned,
-/// so whole chunks are the natural holding unit; each held entry
-/// carries everything commit needs, including the per-trial wall times
-/// measured when the trials actually ran.
+/// A finished chunk that has not entered the aggregate yet. Under the
+/// sequential stopping rule a chunk may only commit once every stop
+/// boundary at or below its upper bound has been decided — otherwise a
+/// later "stop at B" verdict would leave trials `>= B` already baked
+/// into the summary. Stop boundaries are chunk-aligned, so whole chunks
+/// are the natural holding unit; each held entry carries everything
+/// commit needs, including the per-trial wall times measured when the
+/// trials actually ran. Without a stop rule a chunk commits as soon as
+/// it is built.
 struct HeldChunk {
     chunk: u64,
     lo: u64,
@@ -181,39 +174,41 @@ struct HeldChunk {
     artifacts: Vec<(u64, TrialArtifacts)>,
 }
 
-/// A worker thread's partial batch result: the chunk summaries it
-/// committed, its merged profile, the artifacts of the trials it ran,
-/// and (stopping runs only) chunks still awaiting a stop-boundary
-/// verdict when the worker exited — the driver settles those once the
-/// final stop limit is known.
-type WorkerPartial = (
-    Vec<(u64, McSummary)>,
-    Option<EventProfile>,
-    Vec<(u64, TrialArtifacts)>,
-    Vec<HeldChunk>,
-);
+/// The committed part of a chunk-range run (one worker's, or the whole
+/// range's once the workers joined): the chunk summaries in commit
+/// order, the merged event-loop profile and the committed trials'
+/// artifacts.
+#[derive(Default)]
+struct Committed {
+    chunks: Vec<(u64, McSummary)>,
+    profile: Option<EventProfile>,
+    artifacts: Vec<(u64, TrialArtifacts)>,
+}
 
-/// Settle a worker's held chunks against the stopping frontier: commit
-/// every chunk wholly below `min(decided, limit)` (no future boundary
-/// can exclude it), discard every chunk at or beyond a triggered stop
-/// `limit`, keep the rest buffered.
-#[allow(clippy::too_many_arguments)]
+impl Committed {
+    fn absorb(&mut self, other: Committed) {
+        self.chunks.extend(other.chunks);
+        merge_profile(&mut self.profile, other.profile);
+        self.artifacts.extend(other.artifacts);
+    }
+}
+
+/// Settle held chunks against the stopping frontier: commit every chunk
+/// wholly below `min(decided, limit)` (no future boundary can exclude
+/// it), discard every chunk at or beyond a triggered stop `limit`, keep
+/// the rest held.
 fn settle_held(
     held: &mut Vec<HeldChunk>,
     decided: u64,
     limit: u64,
-    chunks: &mut Vec<(u64, McSummary)>,
-    profile: &mut Option<EventProfile>,
-    artifacts: &mut Vec<(u64, TrialArtifacts)>,
+    done: &mut Committed,
     shard: &Option<Arc<WorkerShard>>,
-    want_artifacts: bool,
 ) {
     let commit_below = decided.min(limit);
     let mut i = 0;
     while i < held.len() {
         if held[i].hi <= commit_below {
-            let h = held.swap_remove(i);
-            commit_chunk(h, chunks, profile, artifacts, shard, want_artifacts);
+            commit_chunk(held.swap_remove(i), done, shard);
         } else if held[i].lo >= limit {
             held.swap_remove(i);
         } else {
@@ -222,25 +217,17 @@ fn settle_held(
     }
 }
 
-/// Commit one chunk to a worker's (or the driver's) partial aggregate.
-fn commit_chunk(
-    h: HeldChunk,
-    chunks: &mut Vec<(u64, McSummary)>,
-    profile: &mut Option<EventProfile>,
-    artifacts: &mut Vec<(u64, TrialArtifacts)>,
-    shard: &Option<Arc<WorkerShard>>,
-    want_artifacts: bool,
-) {
+/// Commit one chunk: its trials reach the live monitor's shard, its
+/// summary, profile and artifacts the committed aggregate.
+fn commit_chunk(h: HeldChunk, done: &mut Committed, shard: &Option<Arc<WorkerShard>>) {
     if let Some(shard) = shard {
         for t in &h.trials {
             shard.record_trial(t.lost, t.events, t.wall_secs);
         }
     }
-    chunks.push((h.chunk, h.summary));
-    merge_profile(profile, h.profile.map(Box::new));
-    if want_artifacts {
-        artifacts.extend(h.artifacts);
-    }
+    done.chunks.push((h.chunk, h.summary));
+    merge_profile(&mut done.profile, h.profile);
+    done.artifacts.extend(h.artifacts);
 }
 
 /// Fold chunk summaries into the campaign aggregate after validating
@@ -254,6 +241,15 @@ pub fn fold_chunk_summaries(
     mut chunks: Vec<(u64, McSummary)>,
     total_chunks: u64,
 ) -> Result<McSummary, String> {
+    fold_chunk_range(&mut chunks, 0..total_chunks)
+}
+
+/// [`fold_chunk_summaries`] over the chunk range `range`: sorts `chunks`
+/// in place, checks that they are exactly `range`, and folds them.
+fn fold_chunk_range(
+    chunks: &mut [(u64, McSummary)],
+    range: Range<u64>,
+) -> Result<McSummary, String> {
     chunks.sort_by_key(|&(c, _)| c);
     for (i, win) in chunks.windows(2).enumerate() {
         if win[0].0 == win[1].0 {
@@ -264,19 +260,17 @@ pub fn fold_chunk_summaries(
             ));
         }
     }
-    if chunks.len() as u64 != total_chunks {
-        return Err(format!(
-            "expected {total_chunks} chunks, got {}",
-            chunks.len()
-        ));
+    let expected = range.end - range.start;
+    if chunks.len() as u64 != expected {
+        return Err(format!("expected {expected} chunks, got {}", chunks.len()));
     }
-    for (i, &(c, _)) in chunks.iter().enumerate() {
-        if c != i as u64 {
-            return Err(format!("missing chunk {i} (found {c} in its place)"));
+    for (want, &(c, _)) in range.zip(chunks.iter()) {
+        if c != want {
+            return Err(format!("missing chunk {want} (found {c} in its place)"));
         }
     }
     let mut summary = McSummary::new();
-    for (_, cs) in &chunks {
+    for (_, cs) in chunks.iter() {
         summary.merge(cs);
     }
     Ok(summary)
@@ -296,17 +290,6 @@ fn config_label(cfg: &SystemConfig) -> String {
         format!("{}GiB", b / GIB)
     };
     format!("{} {:?} {size}", cfg.scheme, cfg.recovery)
-}
-
-/// Record one finished trial into this worker's registry shard (noop
-/// without a live monitor; the `Instant` is only taken when one is
-/// attached, so the off path stays free of clock syscalls).
-#[inline]
-fn record_monitored(shard: &Option<Arc<WorkerShard>>, started: Option<Instant>, m: &TrialMetrics) {
-    if let Some(shard) = shard {
-        let wall = started.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
-        shard.record_trial(m.lost_data(), m.events_processed, wall);
-    }
 }
 
 /// Does `obs` ask for anything that produces per-trial artifacts?
@@ -401,13 +384,135 @@ fn run_trial_observed(
     (metrics, sim.take_profile(), artifacts)
 }
 
-fn merge_profile(acc: &mut Option<EventProfile>, p: Option<Box<EventProfile>>) {
+fn merge_profile(acc: &mut Option<EventProfile>, p: Option<EventProfile>) {
     if let Some(p) = p {
         match acc {
             Some(a) => a.merge(&p),
-            None => *acc = Some(*p),
+            None => *acc = Some(p),
         }
     }
+}
+
+/// Trials covered by the chunk range `chunks` of a campaign of
+/// `trials_total` trials.
+fn range_trials(trials_total: u64, chunks: &Range<u64>) -> u64 {
+    (chunks.end * CHUNK_TRIALS).min(trials_total) - (chunks.start * CHUNK_TRIALS).min(trials_total)
+}
+
+/// The one Monte-Carlo runner behind every execution path: run the
+/// reduction chunks `chunks` of a campaign of `trials_total` trials on
+/// `min(threads, chunks)` workers and return what committed.
+///
+/// Worker 0 is the calling thread, so `threads = 1` spawns nothing.
+/// Workers claim chunk indices from one shared counter and build each
+/// chunk by pushing its trials in ascending order — the only way a chunk
+/// summary is ever built. A finished chunk commits once the convergence
+/// core's `decided_through` frontier has passed it (at once without a
+/// stop rule), and a chunk at or beyond a triggered stop limit is
+/// dropped. Chunks still held when the workers join are settled once
+/// against the final stop limit. The live monitor's shards record a
+/// chunk's trials when it commits; progress is reported per trial.
+#[allow(clippy::too_many_arguments)]
+fn run_chunk_range(
+    prepared: &Arc<PreparedConfig>,
+    master_seed: u64,
+    trials_total: u64,
+    chunks: Range<u64>,
+    mode: TrialMode,
+    threads: usize,
+    obs: &ObsOptions,
+    conv: Option<&ConvergenceCore>,
+    batch: Option<&BatchHandle>,
+) -> Committed {
+    assert!(threads >= 1);
+    let progress = Progress::new(range_trials(trials_total, &chunks), obs.progress_enabled());
+    let want_artifacts = artifacts_requested(obs);
+    let limit = || conv.map_or(u64::MAX, |c| c.stop_limit());
+    let decided = || match conv {
+        Some(c) if c.stopping() => c.decided_through(),
+        _ => u64::MAX,
+    };
+    let next = AtomicU64::new(chunks.start);
+    let worker = || {
+        let mut done = Committed::default();
+        let mut held: Vec<HeldChunk> = Vec::new();
+        let mut ws = TrialWorkspace::new();
+        let shard = batch.map(|b| b.shard());
+        loop {
+            let chunk = next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= chunks.end {
+                break;
+            }
+            let (lo, hi) = chunk_bounds(chunk, trials_total);
+            // Stop limits are chunk-aligned, so a chunk is entirely
+            // inside or entirely outside the kept prefix.
+            if lo >= limit() {
+                break;
+            }
+            let mut h = HeldChunk {
+                chunk,
+                lo,
+                hi,
+                summary: McSummary::new(),
+                trials: Vec::with_capacity((hi - lo) as usize),
+                profile: None,
+                artifacts: Vec::new(),
+            };
+            for t in lo..hi {
+                let started = shard.as_ref().map(|_| Instant::now());
+                let (m, p, a) = run_trial_observed(&mut ws, prepared, master_seed, t, mode, obs);
+                progress.trial_done(m.lost_data());
+                if let Some(c) = conv {
+                    c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
+                }
+                h.summary.push(&m);
+                h.trials.push(TrialSideband {
+                    lost: m.lost_data(),
+                    events: m.events_processed,
+                    wall_secs: started.map_or(0.0, |t0| t0.elapsed().as_secs_f64()),
+                });
+                merge_profile(&mut h.profile, p.map(|p| *p));
+                if want_artifacts {
+                    h.artifacts.push((t, a));
+                }
+            }
+            held.push(h);
+            settle_held(&mut held, decided(), limit(), &mut done, &shard);
+        }
+        (done, held)
+    };
+    let workers = (chunks.end - chunks.start).clamp(1, threads as u64);
+    let parts = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let mut parts = vec![worker()];
+        for h in spawned {
+            parts.push(h.join().expect("trial thread panicked"));
+        }
+        parts
+    });
+    progress.finish();
+    let mut out = Committed::default();
+    let mut leftover: Vec<HeldChunk> = Vec::new();
+    for (done, held) in parts {
+        out.absorb(done);
+        leftover.extend(held);
+    }
+    if !leftover.is_empty() {
+        // Every trial has been submitted, so the stop limit is final.
+        // Committed through one extra shard so the monitor's totals
+        // match the summary exactly.
+        let shard = batch.map(|b| b.shard());
+        settle_held(&mut leftover, u64::MAX, limit(), &mut out, &shard);
+    }
+    out
+}
+
+/// Publish a finished batch to the live monitor: its pooled span-phase
+/// histograms (detect / queue / transfer / end-to-end repair), then the
+/// exact final snapshot, synchronously.
+fn finish_batch(batch: &BatchHandle, s: &McSummary) {
+    batch.record_phases(&s.detect_lag, &s.queue_delay, &s.transfer, &s.vulnerability);
+    batch.finish();
 }
 
 /// Run `trials` independent trials in parallel and aggregate.
@@ -469,9 +574,6 @@ pub fn run_trials_observed(
     threads: usize,
     obs: &ObsOptions,
 ) -> (McSummary, Option<EventProfile>) {
-    assert!(threads >= 1);
-    let progress = Progress::new(trials, obs.progress_enabled());
-    let want_artifacts = artifacts_requested(obs);
     // Live campaign monitor (status snapshots / the /metrics exporter):
     // consulted once per batch; `None` — and zero per-trial work — when
     // neither FARM_STATUS nor FARM_HTTP asked for it.
@@ -502,189 +604,23 @@ pub fn run_trials_observed(
     // One validated config per batch: every trial on every worker shares
     // the `Arc` instead of cloning the `SystemConfig`.
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-    let (summary, profile) = if threads == 1 || trials <= 1 {
-        let mut summary = McSummary::new();
-        let mut profile: Option<EventProfile> = None;
-        let mut ws = TrialWorkspace::new();
-        let shard = batch.as_ref().map(|b| b.shard());
-        let mut stopped = false;
-        for chunk in 0..n_chunks(trials) {
-            if stopped {
-                break;
-            }
-            let (lo, hi) = chunk_bounds(chunk, trials);
-            let mut cs = McSummary::new();
-            for t in lo..hi {
-                let started = shard.as_ref().map(|_| Instant::now());
-                let (m, p, a) = run_trial_observed(&mut ws, &prepared, master_seed, t, mode, obs);
-                record_monitored(&shard, started, &m);
-                progress.trial_done(m.lost_data());
-                cs.push(&m);
-                merge_profile(&mut profile, p);
-                if want_artifacts {
-                    artifacts.push((t, a));
-                }
-                if let Some(c) = conv {
-                    c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
-                    // A stop at boundary B keeps exactly trials 0..B; in
-                    // trial order the boundary can only be t+1, and stop
-                    // boundaries are chunk-aligned, so the break lands
-                    // exactly on this chunk's edge and the fold below
-                    // still sees only whole chunks.
-                    if t + 1 >= c.stop_limit() {
-                        stopped = true;
-                        break;
-                    }
-                }
-            }
-            summary.merge(&cs);
-        }
-        (summary, profile)
-    } else {
-        let next = AtomicU64::new(0);
-        let total_chunks = n_chunks(trials);
-        // Under the stopping rule a worker may not commit a chunk until
-        // every stop boundary at or below its upper bound has been
-        // decided — it buffers finished chunks and settles them against
-        // the core's `decided_through` / `stop_limit` frontier (bounded
-        // by one boundary interval plus scheduling skew). Without
-        // stopping, chunks commit as they finish.
-        let stopping = conv.is_some_and(|c| c.stopping());
-        let mut partials: Vec<WorkerPartial> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next = &next;
-                let progress = &progress;
-                let prepared = &prepared;
-                let batch = &batch;
-                handles.push(scope.spawn(move || {
-                    let mut chunks: Vec<(u64, McSummary)> = Vec::new();
-                    let mut local_profile: Option<EventProfile> = None;
-                    let mut local_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-                    let mut held: Vec<HeldChunk> = Vec::new();
-                    let mut ws = TrialWorkspace::new();
-                    let shard = batch.as_ref().map(|b| b.shard());
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= total_chunks {
-                            break;
-                        }
-                        let (lo, hi) = chunk_bounds(chunk, trials);
-                        if let Some(c) = conv {
-                            // Stop limits are chunk-aligned, so a chunk
-                            // is entirely inside or entirely outside the
-                            // kept prefix — never straddling it.
-                            if lo >= c.stop_limit() {
-                                break;
-                            }
-                        }
-                        let mut cs = McSummary::new();
-                        let mut sideband: Vec<TrialSideband> = Vec::new();
-                        let mut chunk_profile: Option<EventProfile> = None;
-                        let mut chunk_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-                        for t in lo..hi {
-                            let started = shard.as_ref().map(|_| Instant::now());
-                            let (m, p, a) =
-                                run_trial_observed(&mut ws, prepared, master_seed, t, mode, obs);
-                            progress.trial_done(m.lost_data());
-                            if let Some(c) = conv {
-                                c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
-                            }
-                            cs.push(&m);
-                            if stopping {
-                                sideband.push(TrialSideband {
-                                    lost: m.lost_data(),
-                                    events: m.events_processed,
-                                    wall_secs: started.map_or(0.0, |t0| t0.elapsed().as_secs_f64()),
-                                });
-                                merge_profile(&mut chunk_profile, p);
-                                if want_artifacts {
-                                    chunk_artifacts.push((t, a));
-                                }
-                            } else {
-                                record_monitored(&shard, started, &m);
-                                merge_profile(&mut local_profile, p);
-                                if want_artifacts {
-                                    local_artifacts.push((t, a));
-                                }
-                            }
-                        }
-                        if stopping {
-                            held.push(HeldChunk {
-                                chunk,
-                                lo,
-                                hi,
-                                summary: cs,
-                                trials: sideband,
-                                profile: chunk_profile,
-                                artifacts: chunk_artifacts,
-                            });
-                            let c = conv.expect("stopping implies a convergence core");
-                            settle_held(
-                                &mut held,
-                                c.decided_through(),
-                                c.stop_limit(),
-                                &mut chunks,
-                                &mut local_profile,
-                                &mut local_artifacts,
-                                &shard,
-                                want_artifacts,
-                            );
-                        } else {
-                            chunks.push((chunk, cs));
-                        }
-                    }
-                    (chunks, local_profile, local_artifacts, held)
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("trial thread panicked"));
-            }
-        });
-        let mut all_chunks: Vec<(u64, McSummary)> = Vec::new();
-        let mut profile: Option<EventProfile> = None;
-        // Settle chunks still undecided when the workers exited: every
-        // trial has been submitted by now, so the stop limit is final —
-        // commit below it, discard at or above it. Committed through one
-        // extra shard so the monitor's totals match the summary exactly.
-        let leftover: Vec<HeldChunk> = partials
-            .iter_mut()
-            .flat_map(|(_, _, _, held)| held.drain(..))
-            .collect();
-        if !leftover.is_empty() {
-            let limit = conv.map_or(u64::MAX, |c| c.stop_limit());
-            let shard = batch.as_ref().map(|b| b.shard());
-            for h in leftover {
-                if h.lo < limit {
-                    commit_chunk(
-                        h,
-                        &mut all_chunks,
-                        &mut profile,
-                        &mut artifacts,
-                        &shard,
-                        want_artifacts,
-                    );
-                }
-            }
-        }
-        for (cs, p, a, _) in partials {
-            all_chunks.extend(cs);
-            merge_profile(&mut profile, p.map(Box::new));
-            artifacts.extend(a);
-        }
-        // The canonical fold: ascending chunk order, one merge per
-        // chunk — bit-identical to the sequential path above and to any
-        // fleet partition of the same chunk space.
-        all_chunks.sort_by_key(|&(c, _)| c);
-        let mut summary = McSummary::new();
-        for (_, cs) in &all_chunks {
-            summary.merge(cs);
-        }
-        (summary, profile)
-    };
-    progress.finish();
+    let run = run_chunk_range(
+        &prepared,
+        master_seed,
+        trials,
+        0..n_chunks(trials),
+        mode,
+        threads,
+        obs,
+        conv,
+        batch.as_ref(),
+    );
+    // A triggered stop keeps exactly the (chunk-aligned) prefix below
+    // its limit; the canonical fold checks that every chunk of it
+    // committed once.
+    let kept = conv.and_then(|c| c.stopped_at()).unwrap_or(trials);
+    let summary = fold_chunk_summaries(run.chunks, n_chunks(kept))
+        .unwrap_or_else(|e| panic!("chunk runner committed a wrong chunk set: {e}"));
     // Flush the convergence stream (final record carries the exact
     // totals) and cross-check it against the aggregate: the tracker was
     // fed exactly the committed trials, in trial order.
@@ -693,66 +629,31 @@ pub fn run_trials_observed(
         debug_assert_eq!(final_p.trials, summary.trials());
         debug_assert_eq!(final_p.successes, summary.p_loss.successes);
     }
-    // Every trial is recorded by now: publish the batch's pooled
-    // span-phase histograms (detect / queue / transfer / end-to-end
-    // repair) to the live monitor, then mark the batch done and publish
-    // the exact final snapshot synchronously.
     if let Some(b) = &batch {
-        b.record_phases(
-            &summary.detect_lag,
-            &summary.queue_delay,
-            &summary.transfer,
-            &summary.vulnerability,
-        );
-        b.finish();
+        finish_batch(b, &summary);
     }
-    if want_artifacts {
-        emit_artifacts(obs, &config_label(cfg), artifacts);
+    if artifacts_requested(obs) {
+        emit_artifacts(obs, &config_label(cfg), run.artifacts);
     }
-    (summary, profile)
-}
-
-/// Run one reduction chunk of a campaign: sequential pushes of its
-/// trials in ascending order — the only way a chunk summary is ever
-/// built, on any execution path.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    ws: &mut TrialWorkspace,
-    prepared: &Arc<PreparedConfig>,
-    master_seed: u64,
-    trials_total: u64,
-    chunk: u64,
-    mode: TrialMode,
-    obs: &ObsOptions,
-    shard: &Option<Arc<WorkerShard>>,
-    progress: &Progress,
-) -> McSummary {
-    let (lo, hi) = chunk_bounds(chunk, trials_total);
-    let mut cs = McSummary::new();
-    for t in lo..hi {
-        let started = shard.as_ref().map(|_| Instant::now());
-        let (m, _profile, _artifacts) = run_trial_observed(ws, prepared, master_seed, t, mode, obs);
-        record_monitored(shard, started, &m);
-        progress.trial_done(m.lost_data());
-        cs.push(&m);
-    }
-    cs
+    (summary, run.profile)
 }
 
 /// Run reduction chunks `[chunk_lo, chunk_hi)` of a campaign of
 /// `trials_total` trials — the fleet worker entry point.
 ///
-/// The per-chunk summaries are returned *unfolded*: `Running::merge` is
-/// not associative, so a worker that pre-folded its contiguous range
-/// could not be re-grouped into the campaign-wide ascending fold. The
-/// coordinator collects every chunk from every worker and folds them
-/// with [`fold_chunk_summaries`], which is bit-identical to
-/// [`run_trials_observed`] over the full seed set.
+/// The per-chunk summaries are returned *unfolded*, in ascending chunk
+/// order: `Running::merge` is not associative, so a worker that
+/// pre-folded its contiguous range could not be re-grouped into the
+/// campaign-wide ascending fold. The coordinator collects every chunk
+/// from every worker and folds them with [`fold_chunk_summaries`],
+/// which is bit-identical to [`run_trials_observed`] over the full seed
+/// set.
 ///
-/// The live monitor (`FARM_STATUS` / `FARM_HTTP`) and progress line
-/// attach as usual, scoped to this worker's share of the campaign;
-/// convergence stopping, per-trial artifacts and profiling do not apply
-/// to fleet workers.
+/// Only the live monitor (`FARM_STATUS` / `FARM_HTTP`) and the progress
+/// line attach, scoped to this worker's share of the campaign. A fleet
+/// worker returns bare chunk summaries, so profiling, tracing, the
+/// timeline, spans, post-mortems and convergence stopping are not
+/// attached even when `obs` asks for them.
 #[allow(clippy::too_many_arguments)]
 pub fn run_trial_chunks_observed(
     cfg: &SystemConfig,
@@ -764,105 +665,50 @@ pub fn run_trial_chunks_observed(
     threads: usize,
     obs: &ObsOptions,
 ) -> Vec<(u64, McSummary)> {
-    assert!(threads >= 1);
     assert!(
         chunk_lo <= chunk_hi && chunk_hi <= n_chunks(trials_total),
         "chunk range {chunk_lo}:{chunk_hi} outside campaign of {} chunks",
         n_chunks(trials_total)
     );
-    let range_trials = if chunk_lo == chunk_hi {
-        0
-    } else {
-        chunk_bounds(chunk_hi - 1, trials_total).1 - chunk_bounds(chunk_lo, trials_total).0
+    let obs = ObsOptions {
+        progress: obs.progress,
+        status: obs.status.clone(),
+        http: obs.http.clone(),
+        ..ObsOptions::off()
     };
-    let progress = Progress::new(range_trials, obs.progress_enabled());
-    let monitor = farm_obs::campaign_monitor(obs);
+    let monitor = farm_obs::campaign_monitor(&obs);
     let anchor = if monitor.is_some() {
         crate::markov::anchor_loss_probability(cfg)
     } else {
         None
     };
-    let batch: Option<BatchHandle> =
-        monitor.map(|mon| mon.begin_batch_anchored(config_label(cfg), range_trials, anchor));
+    let range = chunk_lo..chunk_hi;
+    let batch: Option<BatchHandle> = monitor.map(|mon| {
+        mon.begin_batch_anchored(
+            config_label(cfg),
+            range_trials(trials_total, &range),
+            anchor,
+        )
+    });
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut chunks: Vec<(u64, McSummary)> = Vec::new();
-    if threads == 1 || chunk_hi.saturating_sub(chunk_lo) <= 1 {
-        let mut ws = TrialWorkspace::new();
-        let shard = batch.as_ref().map(|b| b.shard());
-        for chunk in chunk_lo..chunk_hi {
-            let cs = run_chunk(
-                &mut ws,
-                &prepared,
-                master_seed,
-                trials_total,
-                chunk,
-                mode,
-                obs,
-                &shard,
-                &progress,
-            );
-            chunks.push((chunk, cs));
-        }
-    } else {
-        let next = AtomicU64::new(chunk_lo);
-        let mut partials: Vec<Vec<(u64, McSummary)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next = &next;
-                let progress = &progress;
-                let prepared = &prepared;
-                let batch = &batch;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(u64, McSummary)> = Vec::new();
-                    let mut ws = TrialWorkspace::new();
-                    let shard = batch.as_ref().map(|b| b.shard());
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunk_hi {
-                            break;
-                        }
-                        let cs = run_chunk(
-                            &mut ws,
-                            prepared,
-                            master_seed,
-                            trials_total,
-                            chunk,
-                            mode,
-                            obs,
-                            &shard,
-                            progress,
-                        );
-                        local.push((chunk, cs));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("trial thread panicked"));
-            }
-        });
-        for p in partials {
-            chunks.extend(p);
-        }
-    }
-    progress.finish();
-    chunks.sort_by_key(|&(c, _)| c);
+    let mut chunks = run_chunk_range(
+        &prepared,
+        master_seed,
+        trials_total,
+        range.clone(),
+        mode,
+        threads,
+        &obs,
+        None,
+        batch.as_ref(),
+    )
+    .chunks;
+    // Sort, check and pool this worker's share (the monitor shows its
+    // span-phase summaries).
+    let pooled = fold_chunk_range(&mut chunks, range)
+        .unwrap_or_else(|e| panic!("chunk runner committed a wrong chunk set: {e}"));
     if let Some(b) = &batch {
-        // Pool this worker's distributions (ascending fold, as
-        // everywhere) for the monitor's span-phase summaries, then
-        // publish the exact final snapshot.
-        let mut pooled = McSummary::new();
-        for (_, cs) in &chunks {
-            pooled.merge(cs);
-        }
-        b.record_phases(
-            &pooled.detect_lag,
-            &pooled.queue_delay,
-            &pooled.transfer,
-            &pooled.vulnerability,
-        );
-        b.finish();
+        finish_batch(b, &pooled);
     }
     chunks
 }
@@ -1101,6 +947,49 @@ mod tests {
         let wrong = vec![chunks[1].clone(), (2, McSummary::new())];
         let err = fold_chunk_summaries(wrong, 2).unwrap_err();
         assert!(err.contains("missing chunk 0"), "{err}");
+    }
+
+    #[test]
+    fn fleet_chunks_attach_no_discarded_recorders() {
+        // A fleet worker returns bare chunk summaries, so recorders whose
+        // output it would drop are never attached: the chunks equal an
+        // all-off run's bit for bit and no artifact file appears.
+        let cfg = tiny();
+        let tmp = |name: &str| {
+            std::env::temp_dir()
+                .join(format!("farm-mc-fleet-{name}-{}", std::process::id()))
+                .to_string_lossy()
+                .into_owned()
+        };
+        let (timeline, spans) = (tmp("timeline.csv"), tmp("spans.jsonl"));
+        let noisy = ObsOptions {
+            profile: true,
+            timeline: Some(farm_obs::TimelineSpec {
+                path: timeline.clone(),
+                interval_secs: None,
+            }),
+            spans: Some(farm_obs::SpansSpec {
+                path: spans.clone(),
+                format: SpanFormat::Jsonl,
+            }),
+            target_rel_ci: Some(0.5),
+            ..ObsOptions::off()
+        };
+        let compact = |chunks: Vec<(u64, McSummary)>| {
+            chunks
+                .into_iter()
+                .map(|(c, s)| (c, s.to_compact()))
+                .collect::<Vec<_>>()
+        };
+        let off =
+            run_trial_chunks_observed(&cfg, 11, 26, 0, 4, TrialMode::Full, 2, &ObsOptions::off());
+        let on = run_trial_chunks_observed(&cfg, 11, 26, 0, 4, TrialMode::Full, 2, &noisy);
+        assert_eq!(compact(off), compact(on));
+        assert!(
+            !std::path::Path::new(&timeline).exists(),
+            "timeline written"
+        );
+        assert!(!std::path::Path::new(&spans).exists(), "spans written");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::replacement::Migration;
 use crate::workload;
 use farm_des::rng::SeedFactory;
 use farm_des::time::{Duration, SimTime};
-use farm_des::AnyQueue;
+use farm_des::EventQueue;
 use farm_disk::health::SmartVerdict;
 use farm_disk::model::Disk;
 use farm_obs::flight::kind as flight_kind;
@@ -135,7 +135,7 @@ pub struct Simulation {
     /// Per-disk recovery pipe: busy until this instant.
     recovery_busy: Vec<SimTime>,
     layout: GroupLayout,
-    queue: AnyQueue<Event>,
+    queue: EventQueue<Event>,
     now: SimTime,
     horizon: SimTime,
     seeds: SeedFactory,
@@ -184,11 +184,10 @@ impl Simulation {
     }
 
     /// Construct a trial from a batch-shared [`PreparedConfig`]. The
-    /// Monte-Carlo drivers build the `Arc` once and every trial on
+    /// Monte-Carlo runner builds the `Arc` once and every trial on
     /// every worker clones the pointer instead of the config.
     pub fn from_shared(cfg: Arc<PreparedConfig>, seed: u64) -> Self {
         let seeds = SeedFactory::new(seed);
-        let queue_kind = cfg.queue;
         let n = cfg.scheme.n as u8;
         let mut sim = Simulation {
             layout: GroupLayout::new(0, n, 0),
@@ -199,7 +198,7 @@ impl Simulation {
             smart: Vec::new(),
             fail_time: Vec::new(),
             recovery_busy: Vec::new(),
-            queue: AnyQueue::new(queue_kind),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             horizon: SimTime::ZERO,
             seeds,
@@ -295,7 +294,7 @@ impl Simulation {
         self.map.reset_uniform(n_disks);
         self.layout
             .reset(n_groups, self.cfg.scheme.n as u8, n_disks);
-        self.queue.reset(self.cfg.queue);
+        self.queue.reset();
         self.metrics.reset();
         self.disks.clear();
         self.smart.clear();

@@ -27,16 +27,12 @@
 //! assert_eq!(t.as_secs(), 1.0);
 //! ```
 
-pub mod anyqueue;
-pub mod calendar;
 pub mod hist;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use anyqueue::{AnyQueue, QueueKind};
-pub use calendar::CalendarQueue;
 pub use hist::Histogram;
 pub use queue::{EventId, EventQueue};
 pub use rng::{derive_seed, RngStream, SeedFactory};

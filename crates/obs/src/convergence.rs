@@ -320,13 +320,16 @@ struct Inner {
 /// Shared per-batch convergence state: the ordered tracker, the
 /// decimated checkpoint rows, and the sequential stopping rule.
 ///
-/// Thread protocol (see `run_trials_observed`):
+/// Thread protocol (see the chunk-range runner in `farm-core`'s
+/// `montecarlo.rs`; one thread follows it exactly as N do):
 /// * every worker calls [`submit`](Self::submit) once per finished
 ///   trial, any order;
-/// * when stopping is armed, workers consult
-///   [`stop_limit`](Self::stop_limit) before dispatching and
-///   [`decided_through`](Self::decided_through) before committing
-///   results, so the committed set is exactly trials `0..stop_limit`;
+/// * workers consult [`stop_limit`](Self::stop_limit) before claiming
+///   a chunk and, when stopping is armed,
+///   [`decided_through`](Self::decided_through) before committing a
+///   finished one, so the committed set is exactly trials
+///   `0..stop_limit`; chunks still held when the workers join are
+///   settled against the final `stop_limit`;
 /// * the driver calls [`finish`](Self::finish) once, after all workers
 ///   joined, to flush the JSONL stream.
 pub struct ConvergenceCore {

@@ -13,8 +13,9 @@
 //!   [`Histogram`] of per-trial wall seconds behind a private mutex.
 //!
 //! Workers touch *only their own shard* — three relaxed atomic adds and
-//! one uncontended lock per **trial** (never per event) — so the hot
-//! event loop is untouched and scrapes never stall workers: aggregation
+//! one uncontended lock per **trial** (never per event), recorded when
+//! the trial's reduction chunk commits — so the hot event loop is
+//! untouched and scrapes never stall workers: aggregation
 //! sums the shards on the reader's thread. Totals read while trials are
 //! in flight are momentarily racy across shards; [`BatchTotals`] clamps
 //! `losses <= trials` so a mid-run scrape can always form a valid

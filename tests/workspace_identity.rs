@@ -3,8 +3,8 @@
 //! constructed [`Simulation`]. This is what makes per-worker workspace
 //! reuse a pure throughput optimization — every counter, every f64 (by
 //! bits) and every histogram must match, across all six redundancy
-//! schemes of Figure 3, both event-queue kinds, and config changes
-//! between trials on the same workspace.
+//! schemes of Figure 3 and config changes between trials on the same
+//! workspace.
 
 use farm_core::prelude::*;
 use farm_des::rng::derive_seed;
@@ -38,12 +38,11 @@ fn lossy() -> SystemConfig {
 
 /// Fast-failing drives with batch replacement and erasure coding:
 /// spares, migration and heavy event traffic.
-fn stressed(queue: QueueKind) -> SystemConfig {
+fn stressed() -> SystemConfig {
     SystemConfig {
         scheme: Scheme::new(4, 6),
         hazard: farm_disk::failure::Hazard::table1().with_multiplier(4.0),
         replacement: ReplacementPolicy::at_fraction(0.04),
-        queue,
         ..base()
     }
 }
@@ -115,22 +114,14 @@ fn assert_recycled_matches_fresh(cfg: &SystemConfig, master_seed: u64, trials: u
 #[test]
 fn recycled_trials_match_fresh_for_every_scheme_and_queue() {
     for scheme in Scheme::figure3_schemes() {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            let cfg = SystemConfig {
-                scheme,
-                queue,
-                ..base()
-            };
-            assert_recycled_matches_fresh(&cfg, 2004, 2, &format!("{scheme:?} / {queue:?}"));
-        }
+        let cfg = SystemConfig { scheme, ..base() };
+        assert_recycled_matches_fresh(&cfg, 2004, 2, &format!("{scheme:?}"));
     }
 }
 
 #[test]
 fn recycled_trials_match_fresh_under_stress_and_loss() {
-    for queue in [QueueKind::Heap, QueueKind::Calendar] {
-        assert_recycled_matches_fresh(&stressed(queue), 17, 3, &format!("stressed / {queue:?}"));
-    }
+    assert_recycled_matches_fresh(&stressed(), 17, 3, "stressed");
     assert_recycled_matches_fresh(&lossy(), 42, 4, "lossy");
 }
 
@@ -154,8 +145,8 @@ fn recycled_until_loss_matches_fresh() {
 #[test]
 fn workspace_reuse_across_configs_matches_fresh() {
     // A workspace recycled across *different* configurations — larger to
-    // smaller, smaller to larger, different scheme, different queue —
-    // must still equal fresh construction every time.
+    // smaller, smaller to larger, different scheme — must still equal
+    // fresh construction every time.
     let big = SystemConfig {
         total_user_bytes: 4 * TIB,
         ..base()
@@ -163,7 +154,6 @@ fn workspace_reuse_across_configs_matches_fresh() {
     let small = SystemConfig {
         total_user_bytes: TIB,
         scheme: Scheme::new(4, 6),
-        queue: QueueKind::Calendar,
         ..base()
     };
     let seq = [
@@ -184,8 +174,8 @@ fn workspace_reuse_across_configs_matches_fresh() {
 
 #[test]
 fn reuse_disabled_workspace_matches_reuse_enabled() {
-    // `FARM_WORKSPACE=0` reconstructs per trial; both modes must agree
-    // (this is the API-level form of the CI on/off summary diff).
+    // Reuse off reconstructs per trial: the fresh-construction
+    // reference that recycling must match.
     let cfg = base();
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
     let mut on = TrialWorkspace::with_reuse(true);
