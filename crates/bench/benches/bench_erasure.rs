@@ -85,7 +85,7 @@ fn bench_gf256_mul_slice(c: &mut Criterion) {
 const REGION_SIZES: [usize; 3] = [4 << 10, 64 << 10, 1 << 20];
 
 /// `mul_slice_xor` per kernel (the innermost recovery loop): scalar SWAR
-/// vs SSSE3 vs AVX2 at 4 KiB / 64 KiB / 1 MiB. Unsupported kernels on
+/// vs AVX2 at 4 KiB / 64 KiB / 1 MiB. Unsupported kernels on
 /// this host are skipped.
 fn bench_gf256_kernels(c: &mut Criterion) {
     use farm_erasure::gf256::kernel::{self, Kernel};

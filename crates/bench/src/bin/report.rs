@@ -27,7 +27,7 @@
 //! engine the same way (`FARM_PLACE_ENGINE`-style multi-lane RUSH
 //! prehash + memoized walk prefixes off vs on, whole trials in
 //! interleaved chunks — the `placement_*` pair), sweeps the GF(2^8)
-//! region kernels (scalar/SSSE3/AVX2 `mul_slice_xor` MB/s at 4 KiB /
+//! region kernels (scalar/AVX2 `mul_slice_xor` MB/s at 4 KiB /
 //! 64 KiB / 1 MiB plus RS 8/10 encode/reconstruct MB/s — the
 //! `gf_kernel` section), sweeps the placement kernels the same way
 //! (raw `draw_hashes` rates plus `place_all_groups` throughput per
@@ -386,33 +386,39 @@ fn placement_pair(spec: &ConfigSpec, trials: u64) -> (f64, f64, f64, f64) {
 }
 
 /// Workspace-recycling probe: alternate chunks of trials whose setup
-/// comes from a recycled workspace vs fresh construction, timing only
-/// the setup (`obtain`) portion. The full event loop still runs between
-/// obtains so allocator state stays representative, and interleaving
-/// cancels CPU-frequency and load drift.
+/// comes from a recycled workspace vs fresh `Simulation::from_shared`
+/// construction, timing only the setup portion. The full event loop
+/// still runs after each setup so allocator state stays representative,
+/// and interleaving cancels CPU-frequency and load drift.
 fn reuse_pair(spec: &ConfigSpec, trials: u64) -> (f64, f64) {
     let prepared = Arc::new(PreparedConfig::new(spec.cfg.clone()));
     const CHUNKS: u64 = 4;
     let per_chunk = (trials / CHUNKS).max(1);
     let (mut rec_secs, mut fresh_secs) = (0.0f64, 0.0f64);
-    let (mut rec_n, mut fresh_n) = (0u64, 0u64);
     for _ in 0..CHUNKS {
-        for (reuse, secs, n) in [
-            (true, &mut rec_secs, &mut rec_n),
-            (false, &mut fresh_secs, &mut fresh_n),
-        ] {
-            let mut ws = TrialWorkspace::with_reuse(reuse);
-            let _ = ws.obtain(&prepared, derive_seed(3, 0)).run();
-            for t in 0..per_chunk {
-                let s0 = Instant::now();
-                let sim = ws.obtain(&prepared, derive_seed(3, t + 1));
-                *secs += s0.elapsed().as_secs_f64();
-                *n += 1;
-                let _ = sim.run();
-            }
+        let mut ws = TrialWorkspace::new();
+        let _ = ws.obtain(&prepared, derive_seed(3, 0)).run();
+        for t in 0..per_chunk {
+            let s0 = Instant::now();
+            let sim = ws.obtain(&prepared, derive_seed(3, t + 1));
+            rec_secs += s0.elapsed().as_secs_f64();
+            let _ = sim.run();
+        }
+        // The previous trial's simulation drops inside the timed
+        // region, as a reallocating workspace's would.
+        let mut fresh: Option<Simulation> = None;
+        for t in 0..per_chunk {
+            let s0 = Instant::now();
+            let sim = fresh.insert(Simulation::from_shared(
+                Arc::clone(&prepared),
+                derive_seed(3, t + 1),
+            ));
+            fresh_secs += s0.elapsed().as_secs_f64();
+            let _ = sim.run();
         }
     }
-    (rec_n as f64 / rec_secs, fresh_n as f64 / fresh_secs)
+    let n = (CHUNKS * per_chunk) as f64;
+    (n / rec_secs, n / fresh_secs)
 }
 
 fn measure(spec: &ConfigSpec) -> RunResult {

@@ -39,6 +39,7 @@ pub mod layout;
 pub mod markov;
 pub mod metrics;
 pub mod montecarlo;
+pub mod observer;
 pub mod recovery;
 pub mod replacement;
 pub mod sim;
@@ -52,6 +53,7 @@ pub use metrics::{McSummary, TrialMetrics};
 pub use montecarlo::{
     run_trial, run_trials, run_trials_observed, run_trials_with_threads, TrialMode, TrialWorkspace,
 };
+pub use observer::{TrialArtifacts, TrialObserver};
 pub use sim::{Event, Simulation};
 
 /// Common imports for examples and experiments.

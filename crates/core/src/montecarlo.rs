@@ -28,12 +28,12 @@
 
 use crate::config::{PreparedConfig, SystemConfig};
 use crate::metrics::{McSummary, TrialMetrics};
+use crate::observer::{TrialArtifacts, TrialObserver};
 use crate::sim::Simulation;
 use farm_des::rng::derive_seed;
 use farm_obs::{
-    diag, BatchHandle, ConvergenceCore, EventProfile, FlightRecorder, ObsOptions, Progress,
-    SpanFormat, SpanRecorder, TimelineBands, TimelineRecorder, TraceSel, TrialSpans, TrialTracer,
-    WorkerShard,
+    diag, BatchHandle, ConvergenceCore, EventProfile, ObsOptions, Progress, SpanFormat,
+    TimelineBands, TraceSel, WorkerShard,
 };
 use std::io::Write;
 use std::ops::Range;
@@ -99,52 +99,27 @@ pub fn run_trial(
 /// trials are bit-identical to fresh ones (see
 /// `tests/workspace_identity.rs`), so this is purely a throughput
 /// optimization.
+#[derive(Default)]
 pub struct TrialWorkspace {
     sim: Option<Simulation>,
-    reuse: bool,
 }
 
 impl TrialWorkspace {
     /// A workspace that recycles its simulation across trials.
     pub fn new() -> Self {
-        Self::with_reuse(true)
-    }
-
-    /// A workspace with reuse explicitly on or off. Reuse off builds a
-    /// fresh simulation per trial: the reference that identity tests
-    /// and the benchmark's recycling probe compare against.
-    pub fn with_reuse(reuse: bool) -> Self {
-        TrialWorkspace { sim: None, reuse }
+        Self::default()
     }
 
     /// Hand out a simulation initialized exactly as
     /// `Simulation::from_shared(cfg, seed)` would be, recycling the
-    /// previous trial's allocations when reuse is on.
+    /// previous trial's allocations.
     pub fn obtain(&mut self, cfg: &Arc<PreparedConfig>, seed: u64) -> &mut Simulation {
         match &mut self.sim {
-            Some(sim) if self.reuse => sim.recycle(cfg, seed),
+            Some(sim) => sim.recycle(cfg, seed),
             slot => *slot = Some(Simulation::from_shared(Arc::clone(cfg), seed)),
         }
         self.sim.as_mut().expect("workspace holds a simulation")
     }
-}
-
-impl Default for TrialWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Per-trial telemetry a worker carries back to the batch driver: the
-/// trial's timeline rows, any post-mortems its flight recorder emitted,
-/// and (in `FARM_TRACE=loss` mode) the buffered trace of a losing
-/// trial. Empty — and never allocated — when telemetry is off.
-#[derive(Default)]
-struct TrialArtifacts {
-    timeline: Option<Box<TimelineRecorder>>,
-    postmortems: Vec<String>,
-    loss_trace: Option<Vec<u8>>,
-    spans: Option<TrialSpans>,
 }
 
 /// What a held chunk keeps per trial so the live monitor's shard can be
@@ -292,21 +267,10 @@ fn config_label(cfg: &SystemConfig) -> String {
     format!("{} {:?} {size}", cfg.scheme, cfg.recovery)
 }
 
-/// Does `obs` ask for anything that produces per-trial artifacts?
-fn artifacts_requested(obs: &ObsOptions) -> bool {
-    obs.timeline.is_some()
-        || obs.postmortem.is_some()
-        || obs.spans.is_some()
-        || matches!(
-            &obs.trace,
-            Some(spec) if spec.sel == TraceSel::Loss
-        )
-}
-
-/// Run one trial with the requested observability attached: profiling,
-/// tracing, the cluster-state timeline and the flight recorder. Results
-/// are bit-identical to [`run_trial`] — observability never feeds back
-/// into the model.
+/// Run one trial with the observer `obs` asks for attached. Results are
+/// bit-identical to [`run_trial`] — observability never feeds back into
+/// the model. The artifacts and profile are `None` when nothing was
+/// attached.
 fn run_trial_observed(
     ws: &mut TrialWorkspace,
     cfg: &Arc<PreparedConfig>,
@@ -314,74 +278,16 @@ fn run_trial_observed(
     trial: u64,
     mode: TrialMode,
     obs: &ObsOptions,
-) -> (TrialMetrics, Option<Box<EventProfile>>, TrialArtifacts) {
-    let seed = derive_seed(master_seed, trial);
-    let sim = ws.obtain(cfg, seed);
-    if obs.profile {
-        sim.enable_profiling();
-    }
-    if let Some(spec) = &obs.trace {
-        match spec.sel {
-            TraceSel::Trial(sampled) if sampled == trial => match TrialTracer::open(spec, trial) {
-                Ok(t) => sim.set_tracer(t),
-                Err(e) => {
-                    diag::warn_once(
-                        "trace-open",
-                        &format!("cannot open trace sink {:?}: {e}", spec.path),
-                    );
-                }
-            },
-            TraceSel::Trial(_) => {}
-            // Loss mode: trace every trial into memory; the batch
-            // driver keeps only the trials that lost data.
-            TraceSel::Loss => sim.set_tracer(TrialTracer::buffered(trial)),
-        }
-    }
-    if let Some(spec) = &obs.timeline {
-        let duration = cfg.sim_duration.as_secs();
-        sim.set_timeline(TimelineRecorder::new(
-            spec.resolve_interval(duration),
-            duration,
-        ));
-    }
-    if obs.postmortem.is_some() {
-        sim.set_flight(FlightRecorder::new(trial, cfg.n_groups as usize));
-    }
-    if obs.spans.is_some() {
-        sim.set_spans(SpanRecorder::new());
+) -> (TrialMetrics, Option<(TrialArtifacts, Option<EventProfile>)>) {
+    let sim = ws.obtain(cfg, derive_seed(master_seed, trial));
+    if let Some(o) = TrialObserver::for_trial(obs, cfg, trial) {
+        sim.attach(o);
     }
     let metrics = match mode {
         TrialMode::Full => sim.run(),
         TrialMode::UntilLoss => sim.run_until_loss(),
     };
-    let mut artifacts = TrialArtifacts::default();
-    if let Some(mut t) = sim.take_tracer() {
-        t.emit(
-            sim.now().as_secs(),
-            "trial_end",
-            format_args!(
-                ",\"failures\":{},\"rebuilds\":{},\"redirections\":{},\"lost_groups\":{}",
-                metrics.disk_failures,
-                metrics.rebuilds_completed,
-                metrics.redirections,
-                metrics.lost_groups
-            ),
-        );
-        t.flush();
-        if let Some(bytes) = t.take_buffer() {
-            if metrics.lost_data() {
-                artifacts.loss_trace = Some(bytes);
-            }
-        }
-    }
-    artifacts.timeline = sim.take_timeline();
-    if let Some(f) = sim.take_flight() {
-        artifacts.postmortems = f.take_postmortems();
-    }
-    if let Some(mut s) = sim.take_spans() {
-        artifacts.spans = Some(s.take());
-    }
-    (metrics, sim.take_profile(), artifacts)
+    (metrics, sim.detach())
 }
 
 fn merge_profile(acc: &mut Option<EventProfile>, p: Option<EventProfile>) {
@@ -426,7 +332,6 @@ fn run_chunk_range(
 ) -> Committed {
     assert!(threads >= 1);
     let progress = Progress::new(range_trials(trials_total, &chunks), obs.progress_enabled());
-    let want_artifacts = artifacts_requested(obs);
     let limit = || conv.map_or(u64::MAX, |c| c.stop_limit());
     let decided = || match conv {
         Some(c) if c.stopping() => c.decided_through(),
@@ -460,7 +365,8 @@ fn run_chunk_range(
             };
             for t in lo..hi {
                 let started = shard.as_ref().map(|_| Instant::now());
-                let (m, p, a) = run_trial_observed(&mut ws, prepared, master_seed, t, mode, obs);
+                let (m, observed) =
+                    run_trial_observed(&mut ws, prepared, master_seed, t, mode, obs);
                 progress.trial_done(m.lost_data());
                 if let Some(c) = conv {
                     c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
@@ -471,9 +377,11 @@ fn run_chunk_range(
                     events: m.events_processed,
                     wall_secs: started.map_or(0.0, |t0| t0.elapsed().as_secs_f64()),
                 });
-                merge_profile(&mut h.profile, p.map(|p| *p));
-                if want_artifacts {
-                    h.artifacts.push((t, a));
+                if let Some((a, p)) = observed {
+                    merge_profile(&mut h.profile, p);
+                    if !a.is_empty() {
+                        h.artifacts.push((t, a));
+                    }
                 }
             }
             held.push(h);
@@ -632,9 +540,7 @@ pub fn run_trials_observed(
     if let Some(b) = &batch {
         finish_batch(b, &summary);
     }
-    if artifacts_requested(obs) {
-        emit_artifacts(obs, &config_label(cfg), run.artifacts);
-    }
+    emit_artifacts(obs, cfg, run.artifacts);
     (summary, run.profile)
 }
 
@@ -713,11 +619,19 @@ pub fn run_trial_chunks_observed(
     chunks
 }
 
+/// Open `path` for this batch's artifact output; warn once under `key`
+/// (and write nothing) when it cannot be opened.
+fn open_or_warn(path: &str, key: &str, what: &str) -> Option<(std::fs::File, bool, u64)> {
+    farm_obs::open_batch_file(path)
+        .map_err(|e| diag::warn_once(key, &format!("cannot open {what} {path:?}: {e}")))
+        .ok()
+}
+
 /// Write the batch's telemetry artifacts: timeline bands, post-mortem
 /// JSONL, recovery spans, buffered traces of losing trials. Artifacts
 /// are sorted by trial index first, so the files are bit-identical
 /// regardless of how the trials were scheduled across worker threads.
-fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialArtifacts)>) {
+fn emit_artifacts(obs: &ObsOptions, cfg: &SystemConfig, mut artifacts: Vec<(u64, TrialArtifacts)>) {
     artifacts.sort_by_key(|&(t, _)| t);
     if let Some(spec) = &obs.timeline {
         let mut bands = TimelineBands::new();
@@ -726,58 +640,40 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
                 bands.add_trial(tl);
             }
         }
-        match farm_obs::open_batch_file(&spec.path) {
-            Ok((mut f, fresh, batch)) => {
-                let body = bands.render(batch, spec.json(), fresh);
-                let _ = f.write_all(body.as_bytes());
-            }
-            Err(e) => {
-                diag::warn_once(
-                    "timeline-open",
-                    &format!("cannot open timeline output {:?}: {e}", spec.path),
-                );
-            }
+        if let Some((mut f, fresh, batch)) =
+            open_or_warn(&spec.path, "timeline-open", "timeline output")
+        {
+            let body = bands.render(batch, spec.json(), fresh);
+            let _ = f.write_all(body.as_bytes());
         }
     }
     if let Some(path) = &obs.postmortem {
         // Open even when this batch had no losses: the first batch of
         // the process truncates stale output, and an existing-but-empty
         // file distinguishes "no losses" from "post-mortems not on".
-        match farm_obs::open_batch_file(path) {
-            Ok((mut f, _, _)) => {
-                for (_, a) in &artifacts {
-                    for line in &a.postmortems {
-                        let _ = writeln!(f, "{line}");
-                    }
+        if let Some((mut f, _, _)) = open_or_warn(path, "postmortem-open", "post-mortem output") {
+            for (_, a) in &artifacts {
+                for line in &a.postmortems {
+                    let _ = writeln!(f, "{line}");
                 }
-            }
-            Err(e) => {
-                diag::warn_once(
-                    "postmortem-open",
-                    &format!("cannot open post-mortem output {path:?}: {e}"),
-                );
             }
         }
     }
     if let Some(spec) = &obs.spans {
         match spec.format {
-            SpanFormat::Jsonl => match farm_obs::open_batch_file(&spec.path) {
-                Ok((mut f, _, batch)) => {
-                    let mut body = String::new();
+            SpanFormat::Jsonl => {
+                if let Some((mut f, _, batch)) =
+                    open_or_warn(&spec.path, "spans-open", "spans output")
+                {
+                    let (label, mut body) = (config_label(cfg), String::new());
                     for (t, a) in &artifacts {
                         if let Some(s) = &a.spans {
-                            s.render_jsonl(&mut body, batch, label, *t);
+                            s.render_jsonl(&mut body, batch, &label, *t);
                         }
                     }
                     let _ = f.write_all(body.as_bytes());
                 }
-                Err(e) => {
-                    diag::warn_once(
-                        "spans-open",
-                        &format!("cannot open spans output {:?}: {e}", spec.path),
-                    );
-                }
-            },
+            }
             SpanFormat::Chrome => {
                 let mut events = Vec::new();
                 for (t, a) in &artifacts {
@@ -800,19 +696,13 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
                 .iter()
                 .filter_map(|(_, a)| a.loss_trace.as_deref());
             match &spec.path {
-                Some(p) => match farm_obs::open_batch_file(p) {
-                    Ok((mut f, _, _)) => {
+                Some(p) => {
+                    if let Some((mut f, _, _)) = open_or_warn(p, "trace-open", "trace sink") {
                         for tr in traces {
                             let _ = f.write_all(tr);
                         }
                     }
-                    Err(e) => {
-                        diag::warn_once(
-                            "trace-open",
-                            &format!("cannot open trace sink {p:?}: {e}"),
-                        );
-                    }
-                },
+                }
                 None => {
                     let mut err = std::io::stderr().lock();
                     for tr in traces {

@@ -8,9 +8,9 @@
 //! monitoring enabled, suspect drives are avoided too.
 
 use crate::layout::BlockRef;
-use crate::sim::{trace_ev, Event, Simulation};
+use crate::observer::LossCause;
+use crate::sim::{Event, Simulation};
 use farm_des::time::{Duration, SimTime};
-use farm_obs::flight::{kind as flight_kind, NO_DISK};
 use farm_placement::DiskId;
 
 /// How many hard-eligible candidates to scan while looking for one with
@@ -149,15 +149,10 @@ impl Simulation {
                     // at the paper's 40% utilization; counted so tests
                     // can assert that).
                     self.metrics_mut().no_targets += 1;
-                    self.flight_record(b.group(), flight_kind::NO_TARGET, NO_DISK, b.idx());
-                    self.span_no_target(b);
-                    trace_ev!(
-                        self,
-                        "no_target",
-                        ",\"group\":{},\"idx\":{}",
-                        b.group(),
-                        b.idx()
-                    );
+                    let now = self.now();
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        o.no_target(now, b);
+                    }
                     return;
                 }
             },
@@ -179,7 +174,10 @@ impl Simulation {
             for &s in &sources {
                 if self.latent_read_trips(s, block_bytes) {
                     trips += 1;
-                    self.flight_record(b.group(), flight_kind::LATENT, s.0, b.idx());
+                    let now = self.now();
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        o.latent_trip(now, b, s);
+                    }
                 }
             }
             if trips > 0 {
@@ -189,11 +187,11 @@ impl Simulation {
                     let now = self.now();
                     let bytes = self.config().group_user_bytes;
                     self.layout_mut().mark_dead(b.group());
-                    self.gauge_group_died(b.group());
                     self.metrics_mut().record_loss(bytes, now);
-                    // The fatal latent trips were just recorded, so the
-                    // post-mortem chain ends with them.
-                    self.flight_postmortem(b.group(), "latent_read_error");
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        let missing = (n - available) as u8;
+                        o.group_lost(now, b.group(), missing, LossCause::LatentReadError);
+                    }
                     self.sources_scratch = sources;
                     return;
                 }
@@ -204,7 +202,9 @@ impl Simulation {
 
         // Reserve space and re-home the block onto its target.
         self.disk_mut(target).allocate(block_bytes);
-        self.gauge_alloc(block_bytes);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.bytes_allocated(block_bytes);
+        }
         self.layout_mut().move_block(b, target);
         let epoch = self.layout_mut().bump_epoch(b);
 
@@ -230,20 +230,14 @@ impl Simulation {
             .vulnerable_since(b)
             .map_or(0.0, |since| (now - since).as_secs());
         self.metrics_mut().detect_lag.record(lag);
-        self.flight_record(b.group(), flight_kind::REBUILD_START, target.0, b.idx());
-        trace_ev!(
-            self,
-            "rebuild_start",
-            ",\"group\":{},\"idx\":{},\"target\":{},\"wait\":{wait_secs:.3}",
-            b.group(),
-            b.idx(),
-            target.0
-        );
         let bw = self.recovery_bandwidth_at(start);
         let duration = Duration::from_secs(block_bytes as f64 / bw as f64);
         let done = start + duration;
         self.metrics_mut().transfer.record(duration.as_secs());
-        self.span_schedule(b, start, duration.as_secs(), target.0, &sources);
+        if let Some(o) = self.obs.as_deref_mut() {
+            let secs = duration.as_secs();
+            o.rebuild_scheduled(now, b, target, start, secs, &sources, block_bytes);
+        }
         if self.config().model_contention {
             self.set_recovery_busy(target, done);
             for &s in &sources {

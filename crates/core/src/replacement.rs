@@ -130,9 +130,11 @@ impl Simulation {
                     continue;
                 }
                 self.disk_mut(cur).release(block_bytes);
-                self.gauge_release(block_bytes);
                 self.disk_mut(new_home).allocate(block_bytes);
-                self.gauge_alloc(block_bytes);
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.bytes_released(block_bytes);
+                    o.bytes_allocated(block_bytes);
+                }
                 self.layout_mut().move_block(b, new_home);
                 moved += 1;
             }

@@ -19,6 +19,7 @@
 use crate::config::{PreparedConfig, RecoveryPolicy, SystemConfig};
 use crate::layout::{BlockRef, GroupLayout};
 use crate::metrics::TrialMetrics;
+use crate::observer::{self, LossCause, TrialArtifacts, TrialObserver};
 use crate::replacement::Migration;
 use crate::workload;
 use farm_des::rng::SeedFactory;
@@ -26,28 +27,9 @@ use farm_des::time::{Duration, SimTime};
 use farm_des::EventQueue;
 use farm_disk::health::SmartVerdict;
 use farm_disk::model::Disk;
-use farm_obs::flight::kind as flight_kind;
-use farm_obs::{
-    EventProfile, FlightRecorder, SpanRecorder, TimelineRecorder, TrialTracer, N_GAUGES,
-};
+use farm_obs::{EventProfile, N_GAUGES};
 use farm_placement::{kernel, ClusterMap, DiskId, PreDraws, Rush, RushScratch};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Emit one trace record if (and only if) a tracer is attached.
-///
-/// The `format_args!` payload is only built behind the `is_some` check,
-/// so with tracing off (the default) each call site is a single
-/// null-test of the `tracer` box — nothing is formatted or allocated.
-macro_rules! trace_ev {
-    ($sim:expr, $ev:expr, $($fmt:tt)+) => {
-        if $sim.tracer.is_some() {
-            $sim.trace_slow($ev, format_args!($($fmt)+));
-        }
-    };
-}
-pub(crate) use trace_ev;
 
 /// How many blocks ahead of the one being handled the failure and detect
 /// handlers prefetch a block's per-group state (see
@@ -90,35 +72,6 @@ mod streams {
     pub const LATENT: u64 = 4;
 }
 
-/// Incrementally-maintained cluster-state aggregates behind the
-/// timeline gauges. With the timeline off this is `None` and costs
-/// nothing; with it on, the event handlers pay a few adds per state
-/// change instead of `timeline_gauges`'s full disk + group scan per
-/// sample (the dominant telemetry-on cost at paper scale).
-struct LiveGauges {
-    /// Active (not failed) disks.
-    active: u64,
-    /// Sum of `free_bytes()` over active disks.
-    free: u64,
-    /// Sum of `capacity` over active disks.
-    capacity: u64,
-    /// Unavailable blocks of live (not dead) groups.
-    rebuilds_in_flight: u64,
-    /// Live groups with at least one unavailable block.
-    vulnerable_groups: u64,
-    /// Active disks whose recovery pipe is busy past the last drained
-    /// sample instant (see `pipe_busy`).
-    busy_pipes: u64,
-    /// pipe_busy[d]: disk d is currently counted in `busy_pipes`.
-    pipe_busy: Vec<bool>,
-    /// Min-heap of `(busy-until, disk)` snapshots, pushed on every
-    /// `recovery_busy` write and drained lazily at each (monotone)
-    /// sample instant. Entries are validated against the authoritative
-    /// `recovery_busy` value when they surface, so stale snapshots from
-    /// re-extended pipes are skipped rather than miscounted.
-    expiries: BinaryHeap<Reverse<(SimTime, u32)>>,
-}
-
 /// One trial of the storage system.
 pub struct Simulation {
     cfg: Arc<PreparedConfig>,
@@ -154,24 +107,10 @@ pub struct Simulation {
     pub(crate) migration: Migration,
     /// Failed drives in the placement population since the last batch.
     pub(crate) failed_since_batch: u32,
-    /// Event-loop profiler (observability; `None` = off, the zero-cost
-    /// default — the event loop only ever branches on the `Option`).
-    profiler: Option<Box<EventProfile>>,
-    /// Structured trial tracer (observability; `None` = off).
-    pub(crate) tracer: Option<Box<TrialTracer>>,
-    /// Fixed-interval cluster-state gauge sampler (observability;
-    /// `None` = off — the plain event loop never even checks it).
-    timeline: Option<Box<TimelineRecorder>>,
-    /// Per-group flight recorder for data-loss post-mortems
-    /// (observability; `None` = off).
-    flight: Option<Box<FlightRecorder>>,
-    /// Recovery-lifecycle span recorder: one span per block repair with
-    /// phase attribution (observability; `None` = off — every hook is a
-    /// null test on this box).
-    spans: Option<Box<SpanRecorder>>,
-    /// Running aggregates for the timeline gauges (observability;
-    /// `None` = off, initialized when a timeline is attached).
-    gauges: Option<Box<LiveGauges>>,
+    /// Everything observing this trial (`None` = off, the zero-cost
+    /// default: each transition is one null test, and the event loop
+    /// is the plain one). See `observer.rs`.
+    pub(crate) obs: Option<Box<TrialObserver>>,
     /// RNG used only by ablation policies (random target choice).
     ablation_rng: farm_des::rng::RngStream,
     /// RNG for latent-sector-error sampling.
@@ -208,12 +147,7 @@ impl Simulation {
             place_hashes: Vec::new(),
             migration: Migration::default(),
             failed_since_batch: 0,
-            profiler: None,
-            tracer: None,
-            timeline: None,
-            flight: None,
-            spans: None,
-            gauges: None,
+            obs: None,
             ablation_rng: seeds.stream(streams::ABLATION),
             latent_rng: seeds.stream(streams::LATENT),
             cfg: Arc::clone(&cfg),
@@ -231,8 +165,8 @@ impl Simulation {
     /// by the fresh-vs-recycled golden tests in
     /// `tests/workspace_identity.rs`.
     ///
-    /// Observability must be detached (taken) before recycling; the
-    /// recorders carry per-trial state that must not leak across trials.
+    /// The observer must be detached before recycling; its recorders
+    /// carry per-trial state that must not leak across trials.
     pub fn recycle(&mut self, cfg: &Arc<PreparedConfig>, seed: u64) {
         self.reset_core(cfg, seed);
         self.populate_disks();
@@ -273,14 +207,7 @@ impl Simulation {
             "batch replacement is modeled for FARM only (spares and \
              batches use disjoint id spaces)"
         );
-        debug_assert!(
-            self.profiler.is_none()
-                && self.tracer.is_none()
-                && self.timeline.is_none()
-                && self.flight.is_none()
-                && self.spans.is_none(),
-            "detach observability before recycling"
-        );
+        debug_assert!(self.obs.is_none(), "detach the observer before recycling");
         if !Arc::ptr_eq(&self.cfg, cfg) {
             self.cfg = Arc::clone(cfg);
         }
@@ -306,7 +233,6 @@ impl Simulation {
         // O(1) and walk output is independent of retained state (pinned
         // by farm-placement's golden-sequence test).
         self.failed_since_batch = 0;
-        self.gauges = None;
         self.now = SimTime::ZERO;
         self.horizon = SimTime::ZERO + self.cfg.sim_duration;
     }
@@ -341,11 +267,8 @@ impl Simulation {
             }
             None => SmartVerdict::disabled(),
         };
-        if let Some(g) = &mut self.gauges {
-            g.active += 1;
-            g.free += disk.free_bytes();
-            g.capacity += disk.capacity;
-            g.pipe_busy.push(false);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.disk_added(disk.free_bytes(), disk.capacity);
         }
         self.disks.push(disk);
         self.smart.push(verdict);
@@ -604,352 +527,36 @@ impl Simulation {
 
     // ----- observability --------------------------------------------------
 
+    /// Attach `obs` to this trial (replacing any attached observer).
+    /// Never changes results: observers only read what the handlers
+    /// hand them, and timeline samples are taken between events, not
+    /// through the event queue.
+    pub fn attach(&mut self, mut obs: TrialObserver) {
+        obs.init_gauges(&self.disks, &self.recovery_busy, &self.layout, self.now);
+        self.obs = Some(Box::new(obs));
+    }
+
+    /// Detach the observer, writing its end-of-trial records and
+    /// returning its artifacts and event-loop profile (`None` when no
+    /// observer was attached). Call after a run, so spans still open
+    /// close as `truncated` at the horizon.
+    pub fn detach(&mut self) -> Option<(TrialArtifacts, Option<EventProfile>)> {
+        let obs = self.obs.take()?;
+        Some(obs.finish(self.now, &self.metrics))
+    }
+
     /// Profile the event loop (per-event-type counts/time, queue depth).
     /// Never changes results; costs ~two `Instant` reads per event.
     pub fn enable_profiling(&mut self) {
-        self.profiler = Some(Box::new(EventProfile::new(Event::KIND_LABELS)));
+        self.obs
+            .get_or_insert_with(Default::default)
+            .enable_profiling();
     }
 
-    /// Take the accumulated profile (if profiling was enabled).
-    pub fn take_profile(&mut self) -> Option<Box<EventProfile>> {
-        self.profiler.take()
-    }
-
-    /// Attach a structured tracer: every failure/detect/redirect/rebuild
-    /// in this trial emits one JSONL record. Never changes results.
-    pub fn set_tracer(&mut self, tracer: TrialTracer) {
-        self.tracer = Some(Box::new(tracer));
-    }
-
-    /// Detach the tracer (flushes on drop).
-    pub fn take_tracer(&mut self) -> Option<Box<TrialTracer>> {
-        self.tracer.take()
-    }
-
-    /// Attach a cluster-state timeline: gauges of failed disks,
-    /// in-flight rebuilds, vulnerable groups, recovery utilization and
-    /// spare capacity are sampled at the recorder's fixed interval.
-    /// Never changes results — samples are taken between events, not
-    /// through the event queue.
-    pub fn set_timeline(&mut self, rec: TimelineRecorder) {
-        self.timeline = Some(Box::new(rec));
-        self.init_gauges();
-    }
-
-    /// Take the recorded timeline (complete after a run). Also drops the
-    /// live gauge aggregates — they only exist to serve the timeline.
-    pub fn take_timeline(&mut self) -> Option<Box<TimelineRecorder>> {
-        self.gauges = None;
-        self.timeline.take()
-    }
-
-    /// Build the running gauge aggregates from one full scan of the
-    /// current state — the last full scan; every later sample reads the
-    /// incrementally-maintained counters instead.
-    fn init_gauges(&mut self) {
-        let mut g = LiveGauges {
-            active: 0,
-            free: 0,
-            capacity: 0,
-            rebuilds_in_flight: 0,
-            vulnerable_groups: 0,
-            busy_pipes: 0,
-            pipe_busy: vec![false; self.disks.len()],
-            expiries: BinaryHeap::new(),
-        };
-        for (i, d) in self.disks.iter().enumerate() {
-            if d.is_active() {
-                g.active += 1;
-                g.free += d.free_bytes();
-                g.capacity += d.capacity;
-                if self.recovery_busy[i] > self.now {
-                    g.pipe_busy[i] = true;
-                    g.busy_pipes += 1;
-                    g.expiries.push(Reverse((self.recovery_busy[i], i as u32)));
-                }
-            }
-        }
-        for grp in 0..self.layout.n_groups() {
-            if self.layout.is_dead(grp) {
-                continue;
-            }
-            let missing = self.layout.missing_count(grp) as u64;
-            if missing > 0 {
-                g.rebuilds_in_flight += missing;
-                g.vulnerable_groups += 1;
-            }
-        }
-        self.gauges = Some(Box::new(g));
-    }
-
-    // ----- live-gauge hooks (no-ops unless a timeline is attached) -------
-
-    /// An active disk allocated `bytes` (rebuild target reservation,
-    /// migration destination).
-    #[inline]
-    pub(crate) fn gauge_alloc(&mut self, bytes: u64) {
-        if let Some(g) = &mut self.gauges {
-            g.free -= bytes;
-        }
-    }
-
-    /// An active disk released `bytes` (dead-group reservation freed,
-    /// migration source).
-    #[inline]
-    pub(crate) fn gauge_release(&mut self, bytes: u64) {
-        if let Some(g) = &mut self.gauges {
-            g.free += bytes;
-        }
-    }
-
-    /// Disk `d` is about to fail (still active, `used` not yet zeroed).
-    #[inline]
-    fn gauge_disk_failed(&mut self, d: DiskId) {
-        let di = d.0 as usize;
-        if let Some(g) = &mut self.gauges {
-            let disk = &self.disks[di];
-            g.active -= 1;
-            g.free -= disk.free_bytes();
-            g.capacity -= disk.capacity;
-            // Branchless: an idle pipe subtracts 0 and rewrites false.
-            let was_busy = g.pipe_busy[di];
-            g.pipe_busy[di] = false;
-            g.busy_pipes -= was_busy as u64;
-        }
-    }
-
-    /// A block of a live group was marked missing; `new_group_count` is
-    /// the group's missing count after the mark.
-    #[inline]
-    fn gauge_block_missing(&mut self, new_group_count: u8) {
-        if let Some(g) = &mut self.gauges {
-            g.rebuilds_in_flight += 1;
-            // Branchless: the 0→1 missing transition is data-dependent
-            // (unpredictable under load), so fold it into the add.
-            g.vulnerable_groups += (new_group_count == 1) as u64;
-        }
-    }
-
-    /// A block was marked available again; `remaining` is the group's
-    /// missing count after the mark.
-    #[inline]
-    fn gauge_block_available(&mut self, remaining: u8) {
-        if let Some(g) = &mut self.gauges {
-            g.rebuilds_in_flight -= 1;
-            // Branchless mirror of `gauge_block_missing`.
-            g.vulnerable_groups -= (remaining == 0) as u64;
-        }
-    }
-
-    /// A group was just marked dead: its missing blocks leave the
-    /// in-flight gauge and it stops counting as vulnerable (dead groups
-    /// are excluded from both, matching the scan).
-    #[inline]
-    pub(crate) fn gauge_group_died(&mut self, group: u32) {
-        if self.gauges.is_some() {
-            let missing = self.layout.missing_count(group) as u64;
-            let g = self.gauges.as_deref_mut().expect("checked above");
-            g.rebuilds_in_flight -= missing;
-            // A group only dies on a missing-block transition, so it
-            // necessarily counted as vulnerable.
-            g.vulnerable_groups -= 1;
-        }
-    }
-
-    /// Attach a flight recorder: every group keeps a bounded ring of
-    /// recent failure/rebuild events, and a group dropping below `m`
-    /// emits a JSON post-mortem of the causal chain. Never changes
-    /// results.
-    pub fn set_flight(&mut self, rec: FlightRecorder) {
-        self.flight = Some(Box::new(rec));
-    }
-
-    /// Take the flight recorder (holds any emitted post-mortems).
-    pub fn take_flight(&mut self) -> Option<Box<FlightRecorder>> {
-        self.flight.take()
-    }
-
-    /// Cold half of the flight-recorder hook: a few stores into the
-    /// group's preallocated ring. Only called with a recorder attached
-    /// (call sites null-test first), so the handlers' hot code stays
-    /// compact.
-    #[cold]
-    #[inline(never)]
-    fn flight_slow(&mut self, group: u32, kind: u8, disk: u32, idx: u8) {
-        let t = self.now.as_secs();
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.record(group, t, kind, disk, idx);
-        }
-    }
-
-    /// Cold half of data-loss observability: closes the dying group's
-    /// open spans (obtaining the critical path of the fatal window) and
-    /// replays the group's flight ring into one JSON line. Record the
-    /// fatal event *before* calling this.
-    #[cold]
-    #[inline(never)]
-    fn flight_postmortem_slow(&mut self, group: u32, cause: &str) {
-        let t = self.now.as_secs();
-        let cp = self
-            .spans
-            .as_deref_mut()
-            .and_then(|s| s.on_group_loss(group, t, cause == "latent_read_error"));
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.postmortem(group, t, cause, cp.as_ref());
-        }
-    }
-
-    /// Flight-recorder hook shared with the recovery module.
-    #[inline]
-    pub(crate) fn flight_record(&mut self, group: u32, kind: u8, disk: u32, idx: u8) {
-        if self.flight.is_some() {
-            self.flight_slow(group, kind, disk, idx);
-        }
-    }
-
-    /// Data-loss hook shared with the recovery module: span closure and
-    /// post-mortem emission (whichever recorders are attached).
-    #[inline]
-    pub(crate) fn flight_postmortem(&mut self, group: u32, cause: &str) {
-        if self.flight.is_some() || self.spans.is_some() {
-            self.flight_postmortem_slow(group, cause);
-        }
-    }
-
-    // ----- recovery-span hooks (no-ops unless a recorder is attached) ----
-
-    /// Attach a recovery-span recorder: every block repair becomes a
-    /// span with phase attribution (detect / queue / transfer), and
-    /// data-loss post-mortems gain a critical-path breakdown. Never
-    /// changes results.
-    pub fn set_spans(&mut self, rec: SpanRecorder) {
-        self.spans = Some(Box::new(rec));
-    }
-
-    /// Take the span recorder, closing any still-open spans as
-    /// `truncated` at the current instant (after a run, the horizon).
-    pub fn take_spans(&mut self) -> Option<Box<SpanRecorder>> {
-        let now = self.now.as_secs();
-        let mut rec = self.spans.take();
-        if let Some(s) = rec.as_deref_mut() {
-            s.finalize(now);
-        }
-        rec
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_fail_slow(&mut self, b: BlockRef, disk: u32) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_fail(b.group(), b.raw(), disk, t);
-        }
-    }
-
-    /// A failure just made `b` vulnerable: open its span.
-    #[inline]
-    fn span_fail(&mut self, b: BlockRef, disk: u32) {
-        if self.spans.is_some() {
-            self.span_fail_slow(b, disk);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_redirect_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_redirect(b.raw(), t);
-        }
-    }
-
-    /// A re-failure bumped `b`'s epoch: its span re-enters detection.
-    #[inline]
-    fn span_redirect(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_redirect_slow(b);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_done_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        let bytes = self.cfg.block_bytes;
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_done(b.raw(), t, bytes);
-        }
-    }
-
-    /// `b`'s rebuild completed: close its span.
-    #[inline]
-    fn span_done(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_done_slow(b);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_schedule_slow(
-        &mut self,
-        b: BlockRef,
-        start: SimTime,
-        duration: f64,
-        target: u32,
-        sources: &[DiskId],
-    ) {
-        let t = self.now.as_secs();
-        let bytes = self.cfg.block_bytes;
-        let ids: Vec<u32> = sources.iter().map(|d| d.0).collect();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_schedule(b.raw(), t, start.as_secs(), duration, target, &ids, bytes);
-        }
-    }
-
-    /// A rebuild for `b` was scheduled on `target`, starting at `start`
-    /// for `duration` seconds, reading from `sources` (recovery hook).
-    #[inline]
-    pub(crate) fn span_schedule(
-        &mut self,
-        b: BlockRef,
-        start: SimTime,
-        duration: f64,
-        target: u32,
-        sources: &[DiskId],
-    ) {
-        if self.spans.is_some() {
-            self.span_schedule_slow(b, start, duration, target, sources);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_no_target_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_no_target(b.raw(), t);
-        }
-    }
-
-    /// A Detect round found no spare capacity for `b` (recovery hook).
-    #[inline]
-    pub(crate) fn span_no_target(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_no_target_slow(b);
-        }
-    }
-
-    /// Cold half of [`trace_ev!`]: formats and emits one trace record.
-    /// Only ever called with a tracer attached, so it can stay out of
-    /// line and keep the handlers' hot code compact.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn trace_slow(&mut self, ev: &str, extra: std::fmt::Arguments<'_>) {
-        let now = self.now;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.emit(now.as_secs(), ev, extra);
-        }
+    /// Detach the observer and return its profile (if profiling was
+    /// enabled).
+    pub fn take_profile(&mut self) -> Option<EventProfile> {
+        self.obs.take().and_then(|o| o.take_profile())
     }
 
     pub(crate) fn recovery_busy_until(&self, d: DiskId) -> SimTime {
@@ -959,24 +566,8 @@ impl Simulation {
     pub(crate) fn set_recovery_busy(&mut self, d: DiskId, until: SimTime) {
         let di = d.0 as usize;
         self.recovery_busy[di] = until;
-        if let Some(g) = &mut self.gauges {
-            // One heap entry per busy pipe: push only on the idle→busy
-            // transition. A surfacing entry is checked against the
-            // authoritative `recovery_busy` value and re-armed if the
-            // pipe was extended meanwhile, so extensions — the common
-            // case, every rebuild re-busies m+1 pipes — cost no heap
-            // traffic at all.
-            // The counter update is branchless (+1 on idle→busy, −1 on
-            // busy→idle, 0 on the no-transition cases via wrapping
-            // arithmetic); only the heap push — a real side effect —
-            // keeps its idle→busy condition.
-            let was = g.pipe_busy[di] as u64;
-            let busy = (until > self.now) as u64;
-            g.pipe_busy[di] = busy != 0;
-            g.busy_pipes = g.busy_pipes.wrapping_add(busy).wrapping_sub(was);
-            if busy > was {
-                g.expiries.push(Reverse((until, d.0)));
-            }
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.pipe_busy(self.now, d, until);
         }
     }
 
@@ -1005,13 +596,11 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, stop_on_loss: bool) -> TrialMetrics {
-        // The loop is monomorphized twice so that with profiling and the
-        // timeline off (the default) the hot path carries no clock
-        // reads, no `Option` plumbing — nothing beyond the dispatch
-        // itself. (The flight recorder hooks handlers, not the loop, so
-        // it needs no loop variant of its own.)
-        if self.profiler.is_some() || self.timeline.is_some() {
-            self.run_loop_instrumented(stop_on_loss);
+        // The loop is monomorphized twice so that with no observer
+        // attached (the default) the hot path carries no clock reads,
+        // no `Option` plumbing — nothing beyond the dispatch itself.
+        if self.obs.is_some() {
+            self.run_loop_observed(stop_on_loss);
         } else {
             self.run_loop(stop_on_loss);
         }
@@ -1042,40 +631,36 @@ impl Simulation {
         }
     }
 
-    /// Event loop with profiling and/or timeline sampling attached.
-    /// Timeline samples are drawn *between* events — every due sample
-    /// instant `s <= t` is recorded (from the state the previous event
-    /// left) before the event at `t` dispatches — never through the
-    /// event queue, so `events_processed` and queue tie-breaking are
-    /// untouched and results stay bit-identical.
-    fn run_loop_instrumented(&mut self, stop_on_loss: bool) {
+    /// Event loop with an observer attached: profiling and timeline
+    /// sampling. Timeline samples are drawn *between* events — every
+    /// due sample instant `s <= t` is recorded (from the state the
+    /// previous event left) before the event at `t` dispatches — never
+    /// through the event queue, so `events_processed` and queue
+    /// tie-breaking are untouched and results stay bit-identical.
+    fn run_loop_observed(&mut self, stop_on_loss: bool) {
         // Batch timeline sampling: cache the next due sample instant so
         // each event pays one float compare, entering the cold sampling
-        // path only when a sample interval actually elapsed — not once
-        // per event touch. Rows are unchanged: `timeline_sample_to`
-        // still records every due instant `s <= t` in order, and only
-        // this loop advances the recorder, so the cache cannot go stale.
-        let mut next_due: Option<f64> = self.timeline.as_deref().and_then(|tl| tl.due());
+        // path only when a sample interval actually elapsed. Only this
+        // loop advances the recorder, so the cache cannot go stale.
+        let obs = self.obs.as_deref().expect("caller checked");
+        let mut next_due = obs.timeline_due();
+        let profiling = obs.profiling();
         while let Some((t, ev)) = self.queue.pop() {
             if t > self.horizon {
                 break;
             }
-            if let Some(due) = next_due {
-                if due <= t.as_secs() {
-                    self.timeline_sample_to(t);
-                    next_due = self.timeline.as_deref().and_then(|tl| tl.due());
-                }
+            if next_due.is_some_and(|due| due <= t.as_secs()) {
+                next_due = self.timeline_sample_to(t.as_secs());
             }
             self.now = t;
             self.metrics.events_processed += 1;
-            if self.profiler.is_some() {
+            if profiling {
                 let t0 = std::time::Instant::now();
                 self.dispatch(ev);
                 let nanos = t0.elapsed().as_nanos() as u64;
                 let depth = self.queue.len() as u64;
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    p.record(ev.kind_index(), nanos);
-                    p.sample_queue_depth(depth);
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.event_done(ev.kind_index(), nanos, depth);
                 }
             } else {
                 self.dispatch(ev);
@@ -1087,145 +672,44 @@ impl Simulation {
         // Sample instants past the last event (or past an early loss
         // stop) record the final state, so every trial yields the same
         // row count — duration / interval — whatever its event history.
-        if self.timeline.is_some() {
-            self.timeline_fill_remaining();
+        if next_due.is_some() {
+            self.timeline_sample_to(f64::INFINITY);
         }
     }
 
-    /// Record every due timeline sample at or before `upto`.
-    #[cold]
-    #[inline(never)]
-    fn timeline_sample_to(&mut self, upto: SimTime) {
-        // Lift the recorder out so the gauge reads can borrow `self`.
-        let mut tl = self.timeline.take().expect("caller checked is_some");
-        while let Some(s) = tl.due() {
-            if s > upto.as_secs() {
-                break;
-            }
-            tl.push(self.timeline_row(SimTime::from_secs(s)));
-        }
-        self.timeline = Some(tl);
-    }
-
-    /// Record all remaining sample instants with the current state.
-    #[cold]
-    #[inline(never)]
-    fn timeline_fill_remaining(&mut self) {
-        let mut tl = self.timeline.take().expect("caller checked is_some");
-        while let Some(s) = tl.due() {
-            tl.push(self.timeline_row(SimTime::from_secs(s)));
-        }
-        self.timeline = Some(tl);
-    }
-
-    /// The gauge row at sample instant `at`, read from the O(1) live
-    /// aggregates. The only per-sample work proportional to anything is
-    /// draining recovery-pipe expiries that elapsed since the previous
-    /// sample — each busy pipe holds exactly one heap entry (re-armed
-    /// in place when the pipe was extended), so the heap stays at most
-    /// busy-pipes deep and the drain is O(pipes that went idle).
-    ///
-    /// Debug builds cross-check every row against the full scan
+    /// Record every due timeline sample at or before `upto` from the
+    /// live gauges; returns the next due instant. Debug builds
+    /// cross-check every row against the full scan
     /// ([`Simulation::timeline_gauges`]), which is what keeps the
     /// incremental bookkeeping honest across the whole test suite.
-    fn timeline_row(&mut self, at: SimTime) -> [f64; N_GAUGES] {
-        let row = match &mut self.gauges {
-            Some(g) => {
-                while let Some(&Reverse((until, d))) = g.expiries.peek() {
-                    if until > at {
-                        break;
-                    }
-                    g.expiries.pop();
-                    let di = d as usize;
-                    if g.pipe_busy[di] {
-                        let live = self.recovery_busy[di];
-                        if live > at {
-                            // Extended since the entry was pushed:
-                            // re-arm with the authoritative expiry
-                            // (strictly later, so the drain advances).
-                            g.expiries.push(Reverse((live, d)));
-                        } else {
-                            g.pipe_busy[di] = false;
-                            g.busy_pipes -= 1;
-                        }
-                    }
-                }
-                [
-                    self.failed_since_batch as f64,
-                    g.rebuilds_in_flight as f64,
-                    g.vulnerable_groups as f64,
-                    if g.active == 0 {
-                        0.0
-                    } else {
-                        g.busy_pipes as f64 / g.active as f64
-                    },
-                    if g.capacity == 0 {
-                        0.0
-                    } else {
-                        g.free as f64 / g.capacity as f64
-                    },
-                ]
-            }
-            None => self.timeline_gauges(at),
-        };
-        #[cfg(debug_assertions)]
-        if self.gauges.is_some() {
-            debug_assert_eq!(
-                row,
-                self.timeline_gauges(at),
-                "live gauges diverged from the reference scan at t={}",
-                at.as_secs()
-            );
-        }
-        row
+    #[cold]
+    #[inline(never)]
+    fn timeline_sample_to(&mut self, upto: f64) -> Option<f64> {
+        // Lift the observer out so the reference scan can borrow `self`.
+        let mut obs = self.obs.take().expect("caller checked");
+        let next = obs.sample_timeline(
+            upto,
+            &self.recovery_busy,
+            self.failed_since_batch,
+            |at, row| {
+                debug_assert_eq!(
+                    *row,
+                    self.timeline_gauges(at),
+                    "live gauges diverged from the reference scan at t={}",
+                    at.as_secs()
+                );
+            },
+        );
+        self.obs = Some(obs);
+        next
     }
 
     /// Reference implementation of the gauge row: a full scan of all
     /// disks and all groups. Not used on the sampling path (the live
-    /// aggregates are); retained as the debug-build cross-check and the
-    /// one-scan initializer baseline.
+    /// aggregates are); retained as the debug-build cross-check.
     fn timeline_gauges(&self, at: SimTime) -> [f64; N_GAUGES] {
-        let mut active = 0u64;
-        let mut busy_pipes = 0u64;
-        let mut free = 0u64;
-        let mut capacity = 0u64;
-        for (i, d) in self.disks.iter().enumerate() {
-            if d.is_active() {
-                active += 1;
-                if self.recovery_busy[i] > at {
-                    busy_pipes += 1;
-                }
-                free += d.free_bytes();
-                capacity += d.capacity;
-            }
-        }
-        let mut rebuilds_in_flight = 0u64;
-        let mut vulnerable_groups = 0u64;
-        for g in 0..self.layout.n_groups() {
-            if self.layout.is_dead(g) {
-                continue;
-            }
-            let missing = self.layout.missing_count(g) as u64;
-            if missing > 0 {
-                rebuilds_in_flight += missing;
-                vulnerable_groups += 1;
-            }
-        }
-        [
-            self.failed_since_batch as f64,
-            rebuilds_in_flight as f64,
-            vulnerable_groups as f64,
-            if active == 0 {
-                0.0
-            } else {
-                busy_pipes as f64 / active as f64
-            },
-            if capacity == 0 {
-                0.0
-            } else {
-                free as f64 / capacity as f64
-            },
-        ]
+        let (busy, failed) = (&self.recovery_busy, self.failed_since_batch);
+        observer::scanned_row(&self.disks, busy, &self.layout, at, failed)
     }
 
     // ----- event handlers -------------------------------------------------
@@ -1233,9 +717,11 @@ impl Simulation {
     fn on_failure(&mut self, d: DiskId) {
         debug_assert!(self.disks[d.0 as usize].is_active(), "disk fails once");
         self.metrics.disk_failures += 1;
-        self.gauge_disk_failed(d);
+        if let Some(o) = self.obs.as_deref_mut() {
+            let disk = &self.disks[d.0 as usize];
+            o.disk_failed(self.now, d, disk.free_bytes(), disk.capacity);
+        }
         self.disks[d.0 as usize].fail();
-        trace_ev!(self, "failure", ",\"disk\":{}", d.0);
 
         // Classify every block homed here. The first failure of the
         // trial materializes the reverse index the bulk placement
@@ -1259,31 +745,23 @@ impl Simulation {
                 // Detect(d) will pick a fresh target.
                 self.metrics.redirections += 1;
                 self.layout.bump_epoch(b);
-                self.flight_record(b.group(), flight_kind::REDIRECT, d.0, b.idx());
-                self.span_redirect(b);
-                trace_ev!(
-                    self,
-                    "redirect",
-                    ",\"group\":{},\"idx\":{}",
-                    b.group(),
-                    b.idx()
-                );
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.redirect(self.now, b, d);
+                }
             } else {
                 let missing = self.layout.mark_missing(b);
                 self.layout.set_vulnerable(b, self.now);
-                self.gauge_block_missing(missing);
-                self.flight_record(b.group(), flight_kind::FAILURE, d.0, b.idx());
-                self.span_fail(b, d.0);
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.block_failed(self.now, b, d, missing);
+                }
                 let available = self.cfg.scheme.n - missing as u32;
                 if available < self.cfg.scheme.m {
                     self.layout.mark_dead(b.group());
-                    self.gauge_group_died(b.group());
                     self.metrics
                         .record_loss(self.cfg.group_user_bytes, self.now);
-                    // The fatal failure was just recorded, so the
-                    // post-mortem chain ends with it.
-                    self.flight_postmortem(b.group(), "disk_failure");
-                    trace_ev!(self, "loss", ",\"group\":{}", b.group());
+                    if let Some(o) = self.obs.as_deref_mut() {
+                        o.group_lost(self.now, b.group(), missing, LossCause::DiskFailure);
+                    }
                 }
             }
         }
@@ -1319,13 +797,9 @@ impl Simulation {
             // failure launches (FARM declusters them; single-spare RAID
             // funnels the same count into one fresh drive).
             self.metrics.fanout.record(blocks.len() as f64);
-            trace_ev!(
-                self,
-                "detect",
-                ",\"disk\":{},\"rebuilds\":{}",
-                d.0,
-                blocks.len()
-            );
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.detect(self.now, d, blocks.len());
+            }
             let forced_target = match self.cfg.recovery {
                 RecoveryPolicy::Farm => None,
                 RecoveryPolicy::SingleSpare => {
@@ -1358,29 +832,26 @@ impl Simulation {
             if self.disks[home.0 as usize].is_active() {
                 let bytes = self.cfg.block_bytes;
                 self.disks[home.0 as usize].release(bytes);
-                self.gauge_release(bytes);
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.bytes_released(bytes);
+                }
             }
             self.layout.take_vulnerable(b);
             return;
         }
         self.layout.mark_available(b);
-        self.gauge_block_available(self.layout.missing_count(b.group()));
-        self.span_done(b);
         self.metrics.rebuilds_completed += 1;
-        if self.flight.is_some() {
-            let home = self.layout.home(b);
-            self.flight_slow(b.group(), flight_kind::REBUILD_DONE, home.0, b.idx());
-        }
-        if let Some(since) = self.layout.take_vulnerable(b) {
-            let window = (self.now - since).as_secs();
+        let window = self
+            .layout
+            .take_vulnerable(b)
+            .map(|since| (self.now - since).as_secs());
+        if let Some(window) = window {
             self.metrics.record_vulnerability(window);
-            trace_ev!(
-                self,
-                "rebuild_done",
-                ",\"group\":{},\"idx\":{},\"window\":{window:.3}",
-                b.group(),
-                b.idx()
-            );
+        }
+        if let Some(o) = self.obs.as_deref_mut() {
+            let home = self.layout.home(b);
+            let remaining = self.layout.missing_count(b.group());
+            o.rebuild_done(self.now, b, home, remaining, window, self.cfg.block_bytes);
         }
     }
 

@@ -6,8 +6,8 @@
 //!
 //! Whole-slice operations ([`mul_slice`], [`mul_slice_xor`]) dispatch
 //! through the runtime-selected region kernel in [`kernel`] — portable
-//! 64-bit, SSSE3 or AVX2 split-table — all byte-identical; set
-//! `FARM_GF_KERNEL=scalar|ssse3|avx2` to pin one.
+//! 64-bit or AVX2 split-table — byte-identical; set
+//! `FARM_GF_KERNEL=scalar|avx2` to pin one.
 
 pub mod kernel;
 

@@ -1,21 +1,20 @@
 //! Runtime-dispatched region kernels for GF(2^8) slice operations.
 //!
 //! The per-byte log/exp loop in [`super::mul_slice_xor`] caps byte-level
-//! recovery experiments at toy sizes. This module supplies three
-//! interchangeable "region" kernels, all byte-identical for every
-//! constant and length:
+//! recovery experiments at toy sizes. This module supplies two
+//! interchangeable "region" kernels, byte-identical for every constant
+//! and length:
 //!
 //! * **scalar** — a portable 64-bit fallback: eight field elements packed
 //!   in a `u64` and multiplied with carry-less shift-and-reduce steps
 //!   (`xtime` across all lanes at once), no lookups in the main loop.
-//! * **ssse3** — Plank's split-table technique: two 16-entry tables hold
-//!   `c * low_nibble` and `c * high_nibble`; one `pshufb` per table plus
-//!   an XOR multiplies 16 bytes per iteration.
-//! * **avx2** — the same split tables broadcast to both 128-bit lanes of
-//!   a 256-bit register, 32 bytes per iteration.
+//! * **avx2** — Plank's split-table technique: two 16-entry tables hold
+//!   `c * low_nibble` and `c * high_nibble`, broadcast to both 128-bit
+//!   lanes of a 256-bit register; one `vpshufb` per table plus an XOR
+//!   multiplies 32 bytes per iteration.
 //!
 //! The kernel is chosen once per process from `std::arch` runtime feature
-//! detection, overridable via `FARM_GF_KERNEL=scalar|ssse3|avx2` (an
+//! detection, overridable via `FARM_GF_KERNEL=scalar|avx2` (an
 //! unsupported or unrecognized value logs a notice to stderr and falls
 //! back to auto-detection). All kernels compute the exact same field
 //! arithmetic, so the choice can never change simulation results — only
@@ -27,9 +26,8 @@
 //! `dst` to each point at `len` readable/writable bytes and to be either
 //! identical or non-overlapping; the safe wrappers derive them from
 //! slices (`&`/`&mut` rules out partial overlap). Each intrinsic is
-//! either covered by its enclosing function's `#[target_feature]`
-//! attribute (`pshufb` & friends) or baseline SSE2, and those functions
-//! are only reached through [`Kernel::Ssse3`] / [`Kernel::Avx2`] values
+//! covered by its enclosing function's `#[target_feature]` attribute,
+//! and those functions are only reached through [`Kernel::Avx2`] values
 //! produced after `is_x86_feature_detected!` confirmed the ISA (or by
 //! [`set_active`], which asserts support). All vector loads/stores are
 //! the unaligned variants (`loadu`/`storeu`), in bounds because the loop
@@ -84,21 +82,18 @@ pub const MUL_HI: [[u8; 16]; 256] = SPLIT.1;
 pub enum Kernel {
     /// Portable 64-bit shift-and-reduce fallback. Always supported.
     Scalar = 0,
-    /// 128-bit split-table `pshufb` kernel (x86-64 with SSSE3).
-    Ssse3 = 1,
     /// 256-bit split-table `vpshufb` kernel (x86-64 with AVX2).
-    Avx2 = 2,
+    Avx2 = 1,
 }
 
 impl Kernel {
     /// Every kernel this build knows about, fastest last.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Ssse3, Kernel::Avx2];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Avx2];
 
     /// The `FARM_GF_KERNEL` spelling of this kernel.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Ssse3 => "ssse3",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -107,7 +102,6 @@ impl Kernel {
     pub fn parse(s: &str) -> Option<Kernel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Kernel::Scalar),
-            "ssse3" => Some(Kernel::Ssse3),
             "avx2" => Some(Kernel::Avx2),
             _ => None,
         }
@@ -117,8 +111,6 @@ impl Kernel {
     pub fn supported(self) -> bool {
         match self {
             Kernel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -130,8 +122,6 @@ impl Kernel {
     pub fn detect() -> Kernel {
         if Kernel::Avx2.supported() {
             Kernel::Avx2
-        } else if Kernel::Ssse3.supported() {
-            Kernel::Ssse3
         } else {
             Kernel::Scalar
         }
@@ -159,7 +149,7 @@ impl Kernel {
                     let fallback = Kernel::detect();
                     eprintln!(
                         "farm-erasure: unrecognized FARM_GF_KERNEL value {v:?} \
-                         (expected scalar|ssse3|avx2); using {}",
+                         (expected scalar|avx2); using {}",
                         fallback.name()
                     );
                     fallback
@@ -172,8 +162,7 @@ impl Kernel {
     fn from_u8(v: u8) -> Kernel {
         match v {
             0 => Kernel::Scalar,
-            1 => Kernel::Ssse3,
-            2 => Kernel::Avx2,
+            1 => Kernel::Avx2,
             _ => unreachable!("corrupt kernel id {v}"),
         }
     }
@@ -247,9 +236,6 @@ pub fn xor_slice(k: Kernel, src: &[u8], dst: &mut [u8]) {
     match k {
         Kernel::Scalar => xor_region_scalar(src, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is baseline on x86-64.
-        Kernel::Ssse3 => unsafe { xor_region_sse2(src, dst) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: an Avx2 kernel value proves detection succeeded.
         Kernel::Avx2 => unsafe { xor_region_avx2(src, dst) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -267,10 +253,6 @@ unsafe fn mul_region(k: Kernel, xor: bool, c: u8, src: *const u8, dst: *mut u8, 
     match (k, xor) {
         (Kernel::Scalar, true) => mul_region_scalar::<true>(c, src, dst, n),
         (Kernel::Scalar, false) => mul_region_scalar::<false>(c, src, dst, n),
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Ssse3, true) => mul_region_ssse3::<true>(c, src, dst, n),
-        #[cfg(target_arch = "x86_64")]
-        (Kernel::Ssse3, false) => mul_region_ssse3::<false>(c, src, dst, n),
         #[cfg(target_arch = "x86_64")]
         (Kernel::Avx2, true) => mul_region_avx2::<true>(c, src, dst, n),
         #[cfg(target_arch = "x86_64")]
@@ -360,31 +342,6 @@ fn xor_region_scalar(src: &[u8], dst: &mut [u8]) {
 // ---------------------------------------------------------------------
 
 /// # Safety
-/// SSSE3 must be supported; `src`/`dst` cover `n` bytes, identical or
-/// non-overlapping (see module docs).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn mul_region_ssse3<const XOR: bool>(c: u8, src: *const u8, dst: *mut u8, n: usize) {
-    use std::arch::x86_64::*;
-    let lo_t = _mm_loadu_si128(MUL_LO[c as usize].as_ptr() as *const __m128i);
-    let hi_t = _mm_loadu_si128(MUL_HI[c as usize].as_ptr() as *const __m128i);
-    let mask = _mm_set1_epi8(0x0f);
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let s = _mm_loadu_si128(src.add(i) as *const __m128i);
-        let lo = _mm_and_si128(s, mask);
-        let hi = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-        let mut p = _mm_xor_si128(_mm_shuffle_epi8(lo_t, lo), _mm_shuffle_epi8(hi_t, hi));
-        if XOR {
-            p = _mm_xor_si128(p, _mm_loadu_si128(dst.add(i) as *const __m128i));
-        }
-        _mm_storeu_si128(dst.add(i) as *mut __m128i, p);
-        i += 16;
-    }
-    mul_tail::<XOR>(c, src.add(i), dst.add(i), n - i);
-}
-
-/// # Safety
 /// AVX2 must be supported; `src`/`dst` cover `n` bytes, identical or
 /// non-overlapping (see module docs).
 #[cfg(target_arch = "x86_64")]
@@ -411,25 +368,6 @@ unsafe fn mul_region_avx2<const XOR: bool>(c: u8, src: *const u8, dst: *mut u8, 
         i += 32;
     }
     mul_tail::<XOR>(c, src.add(i), dst.add(i), n - i);
-}
-
-/// # Safety
-/// SSE2 is baseline on x86-64; unsafe only for the raw-pointer loads,
-/// whose bounds the loop guards.
-#[cfg(target_arch = "x86_64")]
-unsafe fn xor_region_sse2(src: &[u8], dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let n = src.len();
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let s = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-        let d = _mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i);
-        _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, _mm_xor_si128(d, s));
-        i += 16;
-    }
-    for (db, sb) in dst[i..].iter_mut().zip(&src[i..]) {
-        *db ^= sb;
-    }
 }
 
 /// # Safety

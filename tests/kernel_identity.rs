@@ -1,6 +1,6 @@
 //! Cross-kernel byte-identity of the erasure pipeline.
 //!
-//! The GF(2^8) region kernels (scalar SWAR, SSSE3, AVX2) are selected at
+//! The GF(2^8) region kernels (scalar SWAR, AVX2) are selected at
 //! runtime, so a dispatch bug would silently change simulation results
 //! depending on the host CPU. This test pins the contract: `encode`,
 //! `verify` and `reconstruct` must produce byte-identical output under

@@ -202,7 +202,7 @@ fn placement_is_byte_identical_across_kernels_and_engine_modes() {
         ("lossy->base", base()),
         ("base->stressed", stressed()),
     ];
-    let mut ws = TrialWorkspace::with_reuse(true);
+    let mut ws = TrialWorkspace::new();
     for (i, (what, cfg)) in seq.iter().enumerate() {
         let seed = derive_seed(0xC0F1, i as u64);
         kernel::set_engine_enabled(true);

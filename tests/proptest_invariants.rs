@@ -74,7 +74,7 @@ fn gf256_division_inverts_multiplication() {
 
 // ----- GF(256) kernel identity -------------------------------------------
 
-/// Every compiled region kernel (scalar SWAR, SSSE3, AVX2) must agree
+/// Every compiled region kernel (scalar SWAR, AVX2) must agree
 /// with the per-byte table lookup `gf256::mul` for **all 256 constants**,
 /// across odd lengths, unaligned starting offsets, and the zero-length
 /// slice. Unsupported kernels on this host are skipped (the CI kernel

@@ -137,29 +137,29 @@ fn timeline_artifact_is_byte_identical_for_recycled_workspaces() {
     // Workspace recycling must not disturb telemetry: the rendered
     // timeline body built from recycled simulations equals, byte for
     // byte, the one built from freshly constructed simulations.
-    use farm_core::PreparedConfig;
-    use farm_obs::{TimelineBands, TimelineRecorder};
+    use farm_core::{PreparedConfig, TrialObserver};
+    use farm_obs::TimelineBands;
     use std::sync::Arc;
 
     let cfg = lossy();
-    let duration = cfg.sim_duration().as_secs();
     let month = farm_des::time::SECONDS_PER_MONTH;
+    // The observer only records rows; the runner would write the path.
+    let obs = obs_with_timeline("", Some(month));
 
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut ws = farm_core::TrialWorkspace::with_reuse(true);
+    let timeline = |sim: &mut Simulation, t: u64| {
+        sim.attach(TrialObserver::for_trial(&obs, &prepared, t).expect("timeline requested"));
+        let _ = sim.run();
+        let (a, _) = sim.detach().expect("observer attached");
+        a.timeline.expect("timeline")
+    };
+    let mut ws = farm_core::TrialWorkspace::new();
     let mut recycled_bands = TimelineBands::new();
     let mut fresh_bands = TimelineBands::new();
     for t in 0..4u64 {
         let seed = farm_des::rng::derive_seed(42, t);
-        let sim = ws.obtain(&prepared, seed);
-        sim.set_timeline(TimelineRecorder::new(month, duration));
-        let _ = sim.run();
-        recycled_bands.add_trial(&sim.take_timeline().expect("timeline"));
-
-        let mut fresh = Simulation::new(cfg.clone(), seed);
-        fresh.set_timeline(TimelineRecorder::new(month, duration));
-        let _ = fresh.run();
-        fresh_bands.add_trial(&fresh.take_timeline().expect("timeline"));
+        recycled_bands.add_trial(&timeline(ws.obtain(&prepared, seed), t));
+        fresh_bands.add_trial(&timeline(&mut Simulation::new(cfg.clone(), seed), t));
     }
     assert_eq!(
         recycled_bands.render(0, false, true),
@@ -290,4 +290,99 @@ fn full_telemetry_never_changes_the_lossy_summary() {
     );
     assert_eq!(base.queue_delay.to_compact(), full.queue_delay.to_compact());
     assert_eq!(base.fanout.to_compact(), full.fanout.to_compact());
+}
+
+/// FNV-1a (64-bit) of an artifact file's bytes; removes the file.
+fn file_digest(path: &str) -> u64 {
+    let bytes = std::fs::read(path).expect("artifact written");
+    std::fs::remove_file(path).ok();
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn artifact_bytes_match_the_pinned_digests() {
+    // The other tests compare obs-on with obs-off metrics and artifacts
+    // across thread counts; this pins the artifact bytes themselves, so
+    // a refactor of the recorder plumbing cannot change a record. (Both
+    // traces include trials that lose groups to latent read errors, so
+    // they carry those losses' `loss` records.)
+    use farm_obs::{SpanFormat, SpansSpec};
+    let cfg = lossy();
+    let run = |tag: &str, obs: &dyn Fn(String) -> ObsOptions| {
+        let path = tmp_path(&format!("digest-{tag}"));
+        run_trials_observed(&cfg, 42, 6, TrialMode::Full, 2, &obs(path.clone()));
+        (tag.to_string(), file_digest(&path))
+    };
+    let spans = |path: String, format: SpanFormat| ObsOptions {
+        spans: Some(SpansSpec { path, format }),
+        ..ObsOptions::off()
+    };
+    let trace = |path: String, sel: TraceSel| ObsOptions {
+        trace: Some(TraceSpec {
+            sel,
+            path: Some(path),
+        }),
+        ..ObsOptions::off()
+    };
+    let got = vec![
+        run("timeline.csv", &|p| obs_with_timeline(&p, None)),
+        run("postmortem.jsonl", &|p| ObsOptions {
+            postmortem: Some(p),
+            ..ObsOptions::off()
+        }),
+        run("spans.jsonl", &|p| spans(p, SpanFormat::Jsonl)),
+        run("spans.json", &|p| spans(p, SpanFormat::Chrome)),
+        run("trial-trace.jsonl", &|p| trace(p, TraceSel::Trial(1))),
+        run("loss-trace.jsonl", &|p| trace(p, TraceSel::Loss)),
+    ];
+    let want: Vec<(String, u64)> = [
+        ("timeline.csv", 0x7d4c_90e1_71f4_189e),
+        ("postmortem.jsonl", 0x739f_07f9_332f_22b5),
+        ("spans.jsonl", 0x41c1_cd66_0ac1_e1c6),
+        ("spans.json", 0x3cbc_d4b9_2c13_87c9),
+        ("trial-trace.jsonl", 0xd785_f887_168a_24d0),
+        ("loss-trace.jsonl", 0x5dd9_8048_9ab9_7e5e),
+    ]
+    .iter()
+    .map(|&(tag, d)| (tag.to_string(), d))
+    .collect();
+    assert_eq!(got, want, "artifact bytes changed");
+}
+
+#[test]
+fn loss_trace_has_one_loss_record_per_lost_group() {
+    // Both loss causes (a disk failure and a latent read error during a
+    // rebuild) write a `loss` record, so in file order the records
+    // before each trial_end count exactly its lost groups.
+    let cfg = lossy();
+    let path = tmp_path("loss-count.jsonl");
+    let obs = ObsOptions {
+        trace: Some(TraceSpec {
+            sel: TraceSel::Loss,
+            path: Some(path.clone()),
+        }),
+        ..ObsOptions::off()
+    };
+    run_trials_observed(&cfg, 2004, 8, TrialMode::Full, 2, &obs);
+    let body = std::fs::read_to_string(&path).expect("loss traces written");
+    std::fs::remove_file(&path).ok();
+    let (mut losses, mut ends) = (0u64, 0u64);
+    for line in body.lines() {
+        if line.contains("\"ev\":\"loss\"") {
+            losses += 1;
+        } else if line.contains("\"ev\":\"trial_end\"") {
+            let lost: u64 = line
+                .split("\"lost_groups\":")
+                .nth(1)
+                .and_then(|s| s.trim_end_matches('}').parse().ok())
+                .expect("lost_groups field");
+            assert_eq!(losses, lost, "loss records before {line}");
+            losses = 0;
+            ends += 1;
+        }
+    }
+    assert!(ends > 0, "lossy config must lose data");
+    assert_eq!(losses, 0, "loss records after the last trial_end");
 }

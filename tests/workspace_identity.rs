@@ -99,7 +99,7 @@ fn assert_metrics_identical(a: &TrialMetrics, b: &TrialMetrics, what: &str) {
 /// against a fresh construction, trial by trial.
 fn assert_recycled_matches_fresh(cfg: &SystemConfig, master_seed: u64, trials: u64, what: &str) {
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut ws = TrialWorkspace::with_reuse(true);
+    let mut ws = TrialWorkspace::new();
     // Warm the workspace with an unrelated trial so every compared one
     // is genuinely recycled, never freshly constructed.
     let _ = ws.obtain(&prepared, derive_seed(0xD1B7, 0)).run();
@@ -129,7 +129,7 @@ fn recycled_trials_match_fresh_under_stress_and_loss() {
 fn recycled_until_loss_matches_fresh() {
     let cfg = lossy();
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut ws = TrialWorkspace::with_reuse(true);
+    let mut ws = TrialWorkspace::new();
     let _ = ws.obtain(&prepared, derive_seed(1, 0)).run();
     let mut saw_loss = false;
     for t in 0..6 {
@@ -162,7 +162,7 @@ fn workspace_reuse_across_configs_matches_fresh() {
         ("small->big", &big),
         ("big->small again", &small),
     ];
-    let mut ws = TrialWorkspace::with_reuse(true);
+    let mut ws = TrialWorkspace::new();
     for (i, (what, cfg)) in seq.iter().enumerate() {
         let prepared = Arc::new(PreparedConfig::new((*cfg).clone()));
         let seed = derive_seed(7, i as u64);
@@ -173,46 +173,35 @@ fn workspace_reuse_across_configs_matches_fresh() {
 }
 
 #[test]
-fn reuse_disabled_workspace_matches_reuse_enabled() {
-    // Reuse off reconstructs per trial: the fresh-construction
-    // reference that recycling must match.
-    let cfg = base();
-    let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut on = TrialWorkspace::with_reuse(true);
-    let mut off = TrialWorkspace::with_reuse(false);
-    for t in 0..3 {
-        let seed = derive_seed(11, t);
-        let a = on.obtain(&prepared, seed).run();
-        let b = off.obtain(&prepared, seed).run();
-        assert_metrics_identical(&a, &b, &format!("reuse on vs off, trial {t}"));
-    }
-}
-
-#[test]
 fn recycled_timeline_rows_match_fresh() {
     // Telemetry from a recycled simulation must be bit-identical too:
     // the O(1) gauge aggregates are rebuilt per trial, never carried
     // over. The recorder rows are compared exactly (f64 bits).
     let cfg = lossy();
-    let month = farm_des::time::SECONDS_PER_MONTH;
-    let duration = cfg.sim_duration().as_secs();
-    let mk_timeline = || farm_obs::TimelineRecorder::new(month, duration);
+    let obs = farm_obs::ObsOptions {
+        timeline: Some(farm_obs::TimelineSpec {
+            // The observer only records rows; the runner writes files.
+            path: String::new(),
+            interval_secs: Some(farm_des::time::SECONDS_PER_MONTH),
+        }),
+        ..farm_obs::ObsOptions::off()
+    };
 
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut ws = TrialWorkspace::with_reuse(true);
+    let run = |sim: &mut Simulation, t: u64| {
+        let o = farm_core::TrialObserver::for_trial(&obs, &prepared, t).expect("timeline");
+        sim.attach(o);
+        let metrics = sim.run();
+        let (a, _) = sim.detach().expect("observer attached");
+        (metrics, a.timeline.expect("timeline attached"))
+    };
+    let mut ws = TrialWorkspace::new();
     // Dirty the workspace with a *traced-free* plain trial first.
     let _ = ws.obtain(&prepared, derive_seed(5, 0)).run();
     for t in 0..3 {
         let seed = derive_seed(9, t);
-        let sim = ws.obtain(&prepared, seed);
-        sim.set_timeline(mk_timeline());
-        let recycled = sim.run();
-        let recycled_rows = sim.take_timeline().expect("timeline attached");
-
-        let mut fresh_sim = Simulation::new(cfg.clone(), seed);
-        fresh_sim.set_timeline(mk_timeline());
-        let fresh = fresh_sim.run();
-        let fresh_rows = fresh_sim.take_timeline().expect("timeline attached");
+        let (recycled, recycled_rows) = run(ws.obtain(&prepared, seed), t);
+        let (fresh, fresh_rows) = run(&mut Simulation::new(cfg.clone(), seed), t);
 
         assert_metrics_identical(&recycled, &fresh, &format!("timeline trial {t}"));
         assert_eq!(
