@@ -262,6 +262,11 @@ pub struct PreparedConfig {
     pub block_rebuild_secs: f64,
     /// [`SystemConfig::sim_duration`], precomputed.
     pub sim_duration: Duration,
+    /// [`Hazard::survival_threshold`] over the horizon: a disk whose
+    /// lifetime draw falls below it outlives the simulation.
+    ///
+    /// [`Hazard::survival_threshold`]: farm_disk::failure::Hazard::survival_threshold
+    pub survival_u: f64,
 }
 
 impl PreparedConfig {
@@ -275,6 +280,7 @@ impl PreparedConfig {
             block_bytes: cfg.block_bytes(),
             block_rebuild_secs: cfg.block_rebuild_secs(),
             sim_duration: cfg.sim_duration(),
+            survival_u: cfg.hazard.survival_threshold(cfg.sim_duration()),
             cfg,
         }
     }
@@ -312,6 +318,8 @@ mod tests {
             assert_eq!(p.block_bytes, cfg.block_bytes());
             assert_eq!(p.block_rebuild_secs, cfg.block_rebuild_secs());
             assert_eq!(p.sim_duration.as_secs(), cfg.sim_duration().as_secs());
+            let survival_u = cfg.hazard.survival_threshold(cfg.sim_duration());
+            assert_eq!(p.survival_u.to_bits(), survival_u.to_bits());
             // Deref exposes the raw knobs.
             assert_eq!(p.total_user_bytes, cfg.total_user_bytes);
         }

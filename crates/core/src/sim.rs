@@ -82,9 +82,8 @@ pub struct Simulation {
     pub(crate) rush_scratch: RushScratch,
     map: ClusterMap,
     disks: Vec<Disk>,
+    /// Per-disk health verdicts; empty when the config has no SMART.
     smart: Vec<SmartVerdict>,
-    /// When each disk will fail (if within the horizon).
-    fail_time: Vec<Option<SimTime>>,
     /// Per-disk recovery pipe: busy until this instant.
     recovery_busy: Vec<SimTime>,
     layout: GroupLayout,
@@ -135,7 +134,6 @@ impl Simulation {
             map: ClusterMap::new(),
             disks: Vec::new(),
             smart: Vec::new(),
-            fail_time: Vec::new(),
             recovery_busy: Vec::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
@@ -225,7 +223,6 @@ impl Simulation {
         self.metrics.reset();
         self.disks.clear();
         self.smart.clear();
-        self.fail_time.clear();
         self.recovery_busy.clear();
         self.blocks_scratch.clear();
         self.sources_scratch.clear();
@@ -251,28 +248,28 @@ impl Simulation {
         let disk = Disk::new(birth)
             .with_capacity(self.cfg.disk_capacity)
             .with_vintage(self.cfg.hazard.multiplier());
-        let mut life_rng = self.seeds.stream2(streams::DISK_LIFETIME, id.0 as u64);
-        let ttf = self.cfg.hazard.sample_ttf(Duration::ZERO, &mut life_rng);
-        let fail_at = birth + ttf;
-        let fail_time = if fail_at <= self.horizon {
-            self.queue.schedule(fail_at, Event::Failure(id));
-            Some(fail_at)
-        } else {
-            None
-        };
-        let verdict = match &self.cfg.smart {
-            Some(smart_cfg) => {
-                let mut rng = self.seeds.stream2(streams::SMART, id.0 as u64);
-                SmartVerdict::roll(smart_cfg, birth, fail_time, &mut rng)
-            }
-            None => SmartVerdict::disabled(),
-        };
+        let u = self
+            .seeds
+            .stream2(streams::DISK_LIFETIME, id.0 as u64)
+            .uniform_open();
+        // Most drives outlive the horizon; a draw below `survival_u` says
+        // so without the `ln` and the segment walk (exact for any birth:
+        // the lifetime alone already exceeds the horizon).
+        let fail_at = (u >= self.cfg.survival_u)
+            .then(|| birth + self.cfg.hazard.ttf_from_uniform(Duration::ZERO, u))
+            .filter(|&t| t <= self.horizon);
+        if let Some(t) = fail_at {
+            self.queue.schedule(t, Event::Failure(id));
+        }
+        if let Some(smart_cfg) = &self.cfg.smart {
+            let mut rng = self.seeds.stream2(streams::SMART, id.0 as u64);
+            self.smart
+                .push(SmartVerdict::roll(smart_cfg, birth, fail_at, &mut rng));
+        }
         if let Some(o) = self.obs.as_deref_mut() {
             o.disk_added(disk.free_bytes(), disk.capacity);
         }
         self.disks.push(disk);
-        self.smart.push(verdict);
-        self.fail_time.push(fail_time);
         self.recovery_busy.push(SimTime::ZERO);
         if (self.layout.n_disks() as usize) < self.disks.len() {
             self.layout.grow_disks(self.disks.len() as u32);
@@ -501,8 +498,11 @@ impl Simulation {
         &mut self.disks[d.0 as usize]
     }
 
+    /// Without SMART `smart` is empty, so this reads no per-disk state.
     pub(crate) fn is_suspect(&self, d: DiskId) -> bool {
-        self.smart[d.0 as usize].health_at(self.now) == farm_disk::health::Health::Suspect
+        self.smart
+            .get(d.0 as usize)
+            .is_some_and(|v| v.health_at(self.now) == farm_disk::health::Health::Suspect)
     }
 
     pub(crate) fn ablation_rng_below(&mut self, n: u64) -> u64 {

@@ -6,8 +6,10 @@
 //! a sequential event queue per Monte-Carlo trial, so this crate provides:
 //!
 //! * [`SimTime`] / [`Duration`] — simulated time in seconds with total order,
-//! * [`EventQueue`] — a cancellable priority queue with deterministic
-//!   FIFO tie-breaking for simultaneous events,
+//! * [`EventQueue`] — a priority queue with deterministic FIFO
+//!   tie-breaking for simultaneous events; what is scheduled before the
+//!   first pop (a trial's up-front failures) is sorted once instead of
+//!   heap-ordered,
 //! * [`RngStream`] — reproducible, independently seeded random-number
 //!   streams (one per logical entity) built on a SplitMix64 seed sequence,
 //! * [`stats`] — online mean/variance accumulators and binomial
@@ -34,6 +36,6 @@ pub mod stats;
 pub mod time;
 
 pub use hist::Histogram;
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::{derive_seed, RngStream, SeedFactory};
 pub use time::{Duration, SimTime};

@@ -1,19 +1,22 @@
-//! Cancellable event queue with deterministic tie-breaking.
+//! Two-tier event queue with deterministic tie-breaking.
 //!
 //! Events scheduled at the same instant pop in schedule order (FIFO), so a
-//! simulation run is a pure function of its inputs and seed. Cancellation
-//! is lazy: a cancelled entry stays in the heap and is skipped on pop,
-//! which keeps both `schedule` and `cancel` O(log n) amortized.
+//! simulation run is a pure function of its inputs and seed.
+//!
+//! A reliability trial knows most of its events before it handles the
+//! first one: building the system samples every drive's lifetime and
+//! schedules the failures that fall inside the horizon. Those entries —
+//! everything scheduled before the first [`EventQueue::pop`] after
+//! [`EventQueue::new`] or [`EventQueue::reset`] — go into a plain vector
+//! that the first pop sorts once. Entries scheduled after that (detects,
+//! rebuild completions, the failures of drives added mid-trial) go into a
+//! binary heap, which then stays shallow. Each pop takes whichever tier's
+//! head is earlier by `(time, seq)`; `seq` is unique, so the pop order is
+//! exactly that of a single heap.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Identifies a scheduled event so it can be cancelled later.
-///
-/// Ids are unique within one [`EventQueue`] and never reused.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
 
 struct Entry<E> {
     time: SimTime,
@@ -30,8 +33,8 @@ impl<E> Eq for Entry<E> {}
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. seq breaks ties FIFO.
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) is
+        // the greatest. seq breaks ties FIFO.
         other
             .time
             .cmp(&self.time)
@@ -46,12 +49,14 @@ impl<E> PartialOrd for Entry<E> {
 
 /// A future-event list: the heart of the discrete-event simulator.
 pub struct EventQueue<E> {
+    /// Entries scheduled before the first pop. That pop sorts them
+    /// latest-first, so every later pop takes the earliest off the end.
+    bulk: Vec<Entry<E>>,
+    /// Entries scheduled after the first pop.
     heap: BinaryHeap<Entry<E>>,
-    // Sorted would be overkill: cancellations are rare relative to events,
-    // so a hash set of cancelled seqs suffices.
-    cancelled: std::collections::HashSet<u64>,
+    /// Set by the first pop; cleared by [`EventQueue::reset`].
+    popping: bool,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -63,115 +68,66 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
+            bulk: Vec::new(),
             heap: BinaryHeap::new(),
-            cancelled: std::collections::HashSet::new(),
+            popping: false,
             next_seq: 0,
-            live: 0,
-        }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            cancelled: std::collections::HashSet::new(),
-            next_seq: 0,
-            live: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
-        let seq = self.next_seq;
+    pub fn schedule(&mut self, time: SimTime, event: E) {
+        let entry = Entry {
+            time,
+            seq: self.next_seq,
+            event,
+        };
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.live += 1;
-        EventId(seq)
+        if self.popping {
+            self.heap.push(entry);
+        } else {
+            self.bulk.push(entry);
+        }
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. not yet popped and not already cancelled).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        // An id may refer to an event that already popped; popping removes
-        // it from the heap, so inserting its seq here is harmless — `pop`
-        // will never see that seq again. We only report `true` when the
-        // entry is genuinely still live, which requires a scan-free
-        // heuristic: track live count and membership.
-        if self.cancelled.contains(&id.0) {
-            return false;
-        }
-        if self.popped_seqs_contains(id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        self.live -= 1;
-        true
-    }
-
-    fn popped_seqs_contains(&self, seq: u64) -> bool {
-        // A seq that is neither in the heap nor cancelled must have popped.
-        // Scanning the heap is O(n) but only runs on `cancel`, which in the
-        // reliability simulator happens at most once per disk (pending
-        // failure cancelled on replacement); heaps there hold O(disks)
-        // entries, so this stays cheap relative to event volume.
-        !self.heap.iter().any(|e| e.seq == seq)
-    }
-
-    /// Remove and return the earliest live event.
+    /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            // `HashSet::remove` hashes even on an empty set, and the
-            // simulator never cancels: test emptiness first.
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live -= 1;
-            return Some((entry.time, entry.event));
+        if !self.popping {
+            self.popping = true;
+            // Ascending in `Entry`'s inverted order: latest first.
+            self.bulk.sort_unstable();
         }
-        None
+        let from_heap = match (self.bulk.last(), self.heap.peek()) {
+            (Some(b), Some(h)) => h > b,
+            (Some(_), None) => false,
+            (None, _) => true,
+        };
+        let entry = if from_heap {
+            self.heap.pop()
+        } else {
+            self.bulk.pop()
+        }?;
+        Some((entry.time, entry.event))
     }
 
-    /// Time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let entry = self.heap.peek()?;
-            if self.cancelled.contains(&entry.seq) {
-                let seq = self.heap.pop().expect("peeked entry exists").seq;
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-    }
-
-    /// Number of live (scheduled, not cancelled, not popped) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.bulk.len() + self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Drop every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-        self.live = 0;
-    }
-
-    /// Reset to the freshly-constructed state while keeping the heap's
-    /// allocation. Unlike [`EventQueue::clear`], the id sequence also
-    /// restarts at zero, so a recycled queue hands out the exact same
-    /// [`EventId`]s a new queue would — part of the trial determinism
-    /// contract.
+    /// Reset to the freshly-constructed state while keeping both tiers'
+    /// allocations: the sequence restarts at zero and the next schedules
+    /// go to the bulk tier again, so a recycled queue pops exactly as a
+    /// new one would — part of the trial determinism contract.
     pub fn reset(&mut self) {
+        self.bulk.clear();
         self.heap.clear();
-        self.cancelled.clear();
+        self.popping = false;
         self.next_seq = 0;
-        self.live = 0;
     }
 }
 
@@ -205,62 +161,21 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_twice_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_pop_is_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), ());
-        q.pop();
-        assert!(!q.cancel(a));
-        // And cancelling must not affect later events with other seqs.
-        let b = q.schedule(t(2.0), ());
-        assert!(q.cancel(b));
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-    }
-
-    #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.schedule(t(1.0), ());
+        q.schedule(t(1.0), ());
         q.schedule(t(2.0), ());
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.pop();
         assert_eq!(q.len(), 1);
+        // One entry in each tier.
+        q.schedule(t(3.0), ());
+        assert_eq!(q.len(), 2);
+        q.pop();
         q.pop();
         assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -282,68 +197,85 @@ mod tests {
         assert!((now.as_secs() - 50.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn matches_naive_reference_model() {
-        // Pseudo-random schedule/pop/cancel sequence cross-checked against
-        // a sorted-vec reference implementation.
+    /// Pop the earliest entry of a `(time_ms, seq)` reference list.
+    fn pop_reference(reference: &mut Vec<(u64, u64)>) -> Option<(u64, u64)> {
+        let min = (0..reference.len()).min_by_key(|&i| reference[i])?;
+        Some(reference.swap_remove(min))
+    }
+
+    /// Drive `q` through one bulk load followed by interleaved
+    /// schedule/pop against a sorted `(time, seq)` reference model; return
+    /// the popped payloads (each entry's seq).
+    fn drive_against_reference(q: &mut EventQueue<u64>, seed: u64) -> Vec<u64> {
         use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(u64, u64, u64)> = Vec::new(); // (time_ms, seq, payload)
-        let mut ids: Vec<(EventId, u64)> = Vec::new();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut reference: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut popped = Vec::new();
-        let mut popped_ref = Vec::new();
+        let mut schedule = |q: &mut EventQueue<u64>, r: &mut Vec<_>, time_ms: u64| {
+            q.schedule(t(time_ms as f64 / 1000.0), seq);
+            r.push((time_ms, seq));
+            seq += 1;
+        };
+        // Bulk phase: a narrow time range forces duplicate times.
+        for _ in 0..rng.gen_range(0..300) {
+            let time_ms = rng.gen_range(0..200u64);
+            schedule(q, &mut reference, time_ms);
+        }
+        assert!(
+            q.heap.is_empty(),
+            "seed {seed}: a bulk entry went to the heap"
+        );
         for _ in 0..2000 {
-            match rng.gen_range(0..3) {
-                0 => {
-                    let time_ms = rng.gen_range(0..1000u64);
-                    let id = q.schedule(t(time_ms as f64 / 1000.0), seq);
-                    reference.push((time_ms, seq, seq));
-                    ids.push((id, seq));
-                    seq += 1;
-                }
-                1 => {
-                    if let Some((time, e)) = q.pop() {
-                        popped.push(e);
-                        let min = reference
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &(tm, sq, _))| (tm, sq))
-                            .map(|(i, _)| i)
-                            .expect("reference non-empty when queue non-empty");
-                        let (tm, _, payload) = reference.swap_remove(min);
-                        popped_ref.push(payload);
-                        assert!((time.as_secs() - tm as f64 / 1000.0).abs() < 1e-12);
-                    } else {
-                        assert!(reference.is_empty());
-                    }
-                }
-                _ => {
-                    if !ids.is_empty() {
-                        let k = rng.gen_range(0..ids.len());
-                        let (id, payload) = ids.swap_remove(k);
-                        let in_ref = reference.iter().position(|&(_, _, p)| p == payload);
-                        let cancelled = q.cancel(id);
-                        assert_eq!(cancelled, in_ref.is_some());
-                        if let Some(i) = in_ref {
-                            reference.swap_remove(i);
-                        }
-                    }
+            if rng.gen_range(0..2) == 0 {
+                // Often reuse a pending entry's exact time, so ties cross
+                // the two tiers.
+                let time_ms = match reference.len() {
+                    n if n > 0 && rng.gen_range(0..3) == 0 => reference[rng.gen_range(0..n)].0,
+                    _ => rng.gen_range(0..1000u64),
+                };
+                schedule(q, &mut reference, time_ms);
+            } else {
+                let got = q.pop();
+                let want = pop_reference(&mut reference);
+                assert_eq!(got.is_some(), want.is_some());
+                if let (Some((time, e)), Some((tm, seq))) = (got, want) {
+                    assert_eq!(e, seq, "seed {seed}: pop order diverged");
+                    assert_eq!(time, t(tm as f64 / 1000.0));
+                    popped.push(e);
                 }
             }
             assert_eq!(q.len(), reference.len());
         }
         while let Some((_, e)) = q.pop() {
+            assert_eq!(Some(e), pop_reference(&mut reference).map(|(_, p)| p));
             popped.push(e);
-            let min = reference
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(tm, sq, _))| (tm, sq))
-                .map(|(i, _)| i)
-                .unwrap();
-            popped_ref.push(reference.swap_remove(min).2);
         }
-        assert_eq!(popped, popped_ref);
+        assert!(reference.is_empty());
+        popped
+    }
+
+    #[test]
+    fn matches_naive_reference_model() {
+        for seed in 0..20 {
+            drive_against_reference(&mut EventQueue::new(), seed);
+        }
+    }
+
+    #[test]
+    fn recycled_queue_pops_like_a_fresh_one() {
+        // `reset` must re-enter the bulk phase: a queue left mid-run (both
+        // tiers non-empty) and reset pops exactly as a new one does.
+        let mut recycled = EventQueue::new();
+        for seed in 0..10 {
+            recycled.schedule(t(1.0), 0);
+            recycled.pop();
+            recycled.schedule(t(0.5), 0);
+            recycled.schedule(t(9.0), 0);
+            recycled.reset();
+            assert!(recycled.is_empty());
+            let fresh = drive_against_reference(&mut EventQueue::new(), seed);
+            assert_eq!(drive_against_reference(&mut recycled, seed), fresh);
+        }
     }
 }

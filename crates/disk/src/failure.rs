@@ -160,6 +160,16 @@ impl Hazard {
         total * self.multiplier
     }
 
+    /// A uniform draw below this value gives a new disk a lifetime beyond
+    /// `horizon`, so callers that only schedule in-horizon failures can
+    /// skip [`Hazard::ttf_from_uniform`] for it. The lifetime exceeds the
+    /// horizon exactly when `-ln(u) > Λ(0, horizon)`; the relative margin
+    /// of 1e-6 on Λ dwarfs the rounding of the `ln` and the segment walk
+    /// (~1e-15).
+    pub fn survival_threshold(&self, horizon: Duration) -> f64 {
+        (-self.cumulative_hazard(Duration::ZERO, horizon) * (1.0 + 1e-6)).exp()
+    }
+
     /// Probability a disk of age `age` fails within the next `dt`.
     pub fn failure_probability(&self, age: Duration, dt: Duration) -> f64 {
         1.0 - (-self.cumulative_hazard(age, dt)).exp()
@@ -168,9 +178,14 @@ impl Hazard {
     /// Sample a time-to-failure for a disk currently aged `age`, via
     /// inverse-CDF on the piecewise-exponential distribution.
     pub fn sample_ttf(&self, age: Duration, rng: &mut RngStream) -> Duration {
+        self.ttf_from_uniform(age, rng.uniform_open())
+    }
+
+    /// The time-to-failure [`Hazard::sample_ttf`] returns for the uniform
+    /// draw `u` in (0, 1].
+    pub fn ttf_from_uniform(&self, age: Duration, u: f64) -> Duration {
         // Target cumulative hazard: -ln(U).
-        let target = -rng.uniform_open().ln();
-        let mut remaining = target;
+        let mut remaining = -u.ln();
         let mut months = age.as_secs() / SECONDS_PER_MONTH;
         let mut ttf_secs = 0.0;
         for s in &self.segments {
@@ -323,6 +338,108 @@ mod tests {
             flat.failure_probability(Duration::ZERO, small)
                 < h.failure_probability(Duration::ZERO, small)
         );
+    }
+
+    /// The hazards the survival shortcut must be exact for.
+    fn shortcut_cases() -> Vec<(&'static str, Hazard)> {
+        vec![
+            ("table1", Hazard::table1()),
+            ("table1x2", Hazard::table1().with_multiplier(2.0)),
+            ("constant", Hazard::constant(0.002)),
+            ("flattened", Hazard::table1().flattened()),
+        ]
+    }
+
+    #[test]
+    fn survival_shortcut_is_exact() {
+        // Taking the shortcut below the threshold and the segment walk
+        // above it must decide "outlives the horizon" exactly as the walk
+        // alone does, for random draws and for draws within 1e-9
+        // (relative) of the threshold and of the exact boundary exp(-Λ).
+        let mut rng = SeedFactory::new(2004).stream(0);
+        for (name, h) in shortcut_cases() {
+            for years in [6.0, 10.0] {
+                let horizon = Duration::from_years(years);
+                let threshold = h.survival_threshold(horizon);
+                let boundary = (-h.cumulative_hazard(Duration::ZERO, horizon)).exp();
+                let near = (-1000..=1000).flat_map(|k| {
+                    let r = 1.0 + k as f64 * 1e-12;
+                    [threshold * r, boundary * r]
+                });
+                let random = 1_000_000;
+                let draws: Vec<f64> = (0..random)
+                    .map(|_| rng.uniform_open())
+                    .chain(near)
+                    .collect();
+                let (mut survivors, mut skipped) = (0u64, 0u64);
+                for (i, u) in draws.into_iter().enumerate() {
+                    let outlives = h.ttf_from_uniform(Duration::ZERO, u) > horizon;
+                    let skip = u < threshold;
+                    assert_eq!(
+                        skip || outlives,
+                        outlives,
+                        "{name}, {years} y: u={u} skipped but fails inside the horizon"
+                    );
+                    if i < random {
+                        survivors += outlives as u64;
+                        skipped += skip as u64;
+                    }
+                }
+                // The margin costs a negligible share of the survivors.
+                assert!(
+                    skipped as f64 > 0.999 * survivors as f64,
+                    "{name}, {years} y: only {skipped} of {survivors} survivors skipped"
+                );
+            }
+        }
+    }
+
+    /// [`Hazard::sample_ttf`] as written before the uniform draw was
+    /// split out into [`Hazard::ttf_from_uniform`].
+    fn unsplit_sample_ttf(h: &Hazard, age: Duration, rng: &mut RngStream) -> Duration {
+        let target = -rng.uniform_open().ln();
+        let mut remaining = target;
+        let mut months = age.as_secs() / SECONDS_PER_MONTH;
+        let mut ttf_secs = 0.0;
+        for s in &h.segments {
+            if months >= s.end_months {
+                continue;
+            }
+            let lambda = s.lambda_per_sec() * h.multiplier;
+            let span_secs = (s.end_months - months.max(s.start_months)) * SECONDS_PER_MONTH;
+            let seg_hazard = lambda * span_secs;
+            if remaining <= seg_hazard {
+                ttf_secs += remaining / lambda;
+                return Duration::from_secs(ttf_secs);
+            }
+            remaining -= seg_hazard;
+            ttf_secs += span_secs;
+            months = s.end_months;
+        }
+        let last = h.segments.last().expect("non-empty");
+        let lambda = last.lambda_per_sec() * h.multiplier;
+        ttf_secs += remaining / lambda;
+        Duration::from_secs(ttf_secs)
+    }
+
+    #[test]
+    fn sample_ttf_matches_the_unsplit_sampler_bit_for_bit() {
+        for (name, h) in shortcut_cases() {
+            for age_months in [0.0, 2.0, 30.0, 80.0] {
+                let age = Duration::from_months(age_months);
+                let mut a = SeedFactory::new(9).stream(1);
+                let mut b = SeedFactory::new(9).stream(1);
+                for i in 0..100_000 {
+                    let got = h.sample_ttf(age, &mut a).as_secs();
+                    let want = unsplit_sample_ttf(&h, age, &mut b).as_secs();
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name}, age {age_months}, draw {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

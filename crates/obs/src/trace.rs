@@ -13,6 +13,7 @@
 //! flushes only the trials that actually lose data — no guessing a
 //! trial index up front when hunting a loss.
 
+use crate::sink::open_batch_file;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -127,11 +128,13 @@ pub struct TrialTracer {
 }
 
 impl TrialTracer {
-    /// Open the spec's sink for trial `trial`.
+    /// Open the spec's sink for trial `trial`. A file is truncated by
+    /// the first open in the process and appended to after that, so a
+    /// sweep keeps every batch's trace (see [`open_batch_file`]).
     pub fn open(spec: &TraceSpec, trial: u64) -> io::Result<TrialTracer> {
         let sink = match &spec.path {
             None => Sink::Stderr(io::stderr()),
-            Some(p) => Sink::File(BufWriter::new(File::create(p)?)),
+            Some(p) => Sink::File(BufWriter::new(open_batch_file(p)?.0)),
         };
         Ok(TrialTracer {
             trial,

@@ -274,19 +274,35 @@ fn rush_growth_only_moves_to_new_cluster_or_stays() {
 fn event_queue_pops_sorted() {
     for (i, mut rng) in cases(7, 50) {
         let n = 1 + rng.below(199) as usize;
-        let times: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e6).collect();
+        let mut times: Vec<f64> = (0..n).map(|_| rng.uniform() * 1e6).collect();
         let mut q = EventQueue::new();
         for (j, &t) in times.iter().enumerate() {
             q.schedule(SimTime::from_secs(t), j);
         }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last, "case {i}: pop went backwards");
-            last = t;
-            count += 1;
+        // Payloads are schedule indices, so (time, payload) must rise
+        // strictly: time order, FIFO among ties. After the first pop,
+        // follow-ups land later, at the popped instant, or exactly on
+        // an earlier entry's time, so ties cross the two tiers.
+        let mut last: Option<(SimTime, usize)> = None;
+        let mut popped = 0;
+        while let Some((t, j)) = q.pop() {
+            popped += 1;
+            assert!(
+                last.is_none_or(|l| (t, j) > l),
+                "case {i}: pop {j} out of (time, seq) order"
+            );
+            last = Some((t, j));
+            if times.len() < 2 * n && rng.below(2) == 0 {
+                let at = match rng.below(3) {
+                    0 => t.as_secs() + rng.uniform() * 1e5,
+                    1 => t.as_secs(),
+                    _ => times[rng.below(times.len() as u64) as usize].max(t.as_secs()),
+                };
+                q.schedule(SimTime::from_secs(at), times.len());
+                times.push(at);
+            }
         }
-        assert_eq!(count, times.len(), "case {i}: lost events");
+        assert_eq!(popped, times.len(), "case {i}: lost events");
     }
 }
 

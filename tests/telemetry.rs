@@ -352,6 +352,31 @@ fn artifact_bytes_match_the_pinned_digests() {
 }
 
 #[test]
+fn trial_trace_keeps_every_batch_of_a_process() {
+    // A sweep binary runs one batch per configuration point, each tracing
+    // the same trial index into the same file: every batch's trace must
+    // survive, not only the last one's.
+    let path = tmp_path("trial-trace-batches.jsonl");
+    let obs = ObsOptions {
+        trace: Some(TraceSpec {
+            sel: TraceSel::Trial(1),
+            path: Some(path.clone()),
+        }),
+        ..ObsOptions::off()
+    };
+    for seed in [42, 43] {
+        run_trials_observed(&lossy(), seed, 2, TrialMode::Full, 1, &obs);
+    }
+    let body = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    let ends = body
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"trial_end\""))
+        .count();
+    assert_eq!(ends, 2, "one trial_end per batch");
+}
+
+#[test]
 fn loss_trace_has_one_loss_record_per_lost_group() {
     // Both loss causes (a disk failure and a latent read error during a
     // rebuild) write a `loss` record, so in file order the records

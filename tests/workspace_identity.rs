@@ -212,3 +212,72 @@ fn recycled_timeline_rows_match_fresh() {
         assert_eq!(recycled_rows.n_samples(), fresh_rows.n_samples());
     }
 }
+
+/// FNV-1a 64 of a summary's compact form.
+fn compact_digest(summary: &McSummary) -> u64 {
+    summary
+        .to_compact()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn summaries_match_the_pinned_digests() {
+    // The other tests here compare two runs of the same build; these pin
+    // absolute bytes for the paths that schedule failures after the first
+    // pop (spares, batch members) or read per-disk state that disk
+    // population fills (SMART verdicts, latent-error birth times).
+    use farm_disk::health::SmartConfig;
+    let smart = Some(SmartConfig {
+        detection_rate: 0.5,
+        false_alarm_rate: 0.2,
+        lead_time: Duration::from_days(30.0),
+    });
+    let fast = farm_disk::failure::Hazard::table1().with_multiplier(4.0);
+    let digest = |cfg: &SystemConfig| compact_digest(&run_trials(cfg, 2004, 12, TrialMode::Full));
+    let cases = [
+        (
+            "smart",
+            SystemConfig {
+                hazard: fast.clone(),
+                smart,
+                ..base()
+            },
+        ),
+        (
+            "single_spare",
+            SystemConfig {
+                hazard: fast.clone(),
+                recovery: RecoveryPolicy::SingleSpare,
+                ..base()
+            },
+        ),
+        ("batch_replacement", stressed()),
+        (
+            "batch_replacement_smart",
+            SystemConfig {
+                smart,
+                ..stressed()
+            },
+        ),
+        ("latent", lossy()),
+    ];
+    let got: Vec<(&str, u64)> = cases.iter().map(|(tag, cfg)| (*tag, digest(cfg))).collect();
+    // SMART must steer some target choice, or its pins guard nothing.
+    let no_smart = SystemConfig {
+        hazard: fast,
+        ..base()
+    };
+    assert_ne!(digest(&no_smart), got[0].1, "SMART changed no outcome");
+    assert_ne!(digest(&stressed()), got[3].1, "SMART changed no outcome");
+    let want = [
+        ("smart", 0xdfcb_5dbe_222e_d18e),
+        ("single_spare", 0xcc03_e825_b89c_a6d2),
+        ("batch_replacement", 0x0db0_75a4_522e_9e58),
+        ("batch_replacement_smart", 0x4019_4a2d_0f45_e5f4),
+        ("latent", 0x1dee_4828_f157_f764),
+    ];
+    assert_eq!(got, want, "summary bytes changed");
+}
