@@ -857,77 +857,6 @@ fn result_to_json(r: &RunResult) -> Json {
     ]))
 }
 
-/// Fleet-scaling sweep: wall-clock the fleet coordinator (the
-/// `fleet` binary from `farm-experiments`, expected next to this one
-/// in the target dir) over the same small campaign at 1, 2 and 4
-/// worker processes. The merged result is bit-identical by
-/// construction (pinned by `tests/fleet.rs`); this probe records only
-/// the throughput curve. When the binary is absent the section is a
-/// `points: null` stub with a note, so report generation never fails
-/// on a partial build.
-fn fleet_scaling_section(smoke: bool) -> Json {
-    use std::process::{Command, Stdio};
-
-    let bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("fleet")))
-        .filter(|b| b.exists());
-    let Some(bin) = bin else {
-        return Json::Obj(BTreeMap::from([
-            ("points".into(), Json::Null),
-            (
-                "note".into(),
-                Json::str(
-                    "fleet binary not found next to report; build with \
-                     `cargo build --release -p farm-experiments --bin fleet`",
-                ),
-            ),
-        ]));
-    };
-    let trials: u64 = if smoke { 16 } else { 96 };
-    let mut points = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let dir = std::env::temp_dir().join(format!(
-            "farm-bench-fleet-{}-w{workers}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t0 = Instant::now();
-        let status = Command::new(&bin)
-            .args(["--workers", &workers.to_string()])
-            .args(["--no-dashboard", "--no-worker-http"])
-            .args(["--trials", &trials.to_string()])
-            .args(["--seed", "7", "--scale", "0.015625", "--threads", "1"])
-            .arg("--fleet")
-            .arg(&dir)
-            .stdout(Stdio::null())
-            .status();
-        let wall = t0.elapsed().as_secs_f64();
-        let _ = std::fs::remove_dir_all(&dir);
-        if !status.map(|s| s.success()).unwrap_or(false) {
-            return Json::Obj(BTreeMap::from([
-                ("points".into(), Json::Null),
-                (
-                    "note".into(),
-                    Json::str(format!("fleet run with {workers} worker(s) failed")),
-                ),
-            ]));
-        }
-        points.push(Json::Obj(BTreeMap::from([
-            ("workers".into(), Json::num(workers as f64)),
-            (
-                "trials_per_sec".into(),
-                Json::num((trials as f64 / wall.max(1e-9) * 1e2).round() / 1e2),
-            ),
-            ("wall_secs".into(), Json::num((wall * 1e3).round() / 1e3)),
-        ])));
-    }
-    Json::Obj(BTreeMap::from([
-        ("trials".into(), Json::num(trials as f64)),
-        ("points".into(), Json::Arr(points)),
-    ]))
-}
-
 /// Host/provenance metadata stamped into each labelled run so that
 /// trajectory points from different machines or toolchains are
 /// comparable at a glance.
@@ -949,7 +878,6 @@ fn merge_into(
     notes: &str,
     gf_kernel: Json,
     place_kernel: Json,
-    fleet_scaling: Json,
     results: &[RunResult],
 ) -> Json {
     let mut runs: Vec<Json> = doc
@@ -964,7 +892,6 @@ fn merge_into(
         ("host".into(), host_metadata()),
         ("gf_kernel".into(), gf_kernel),
         ("place_kernel".into(), place_kernel),
-        ("fleet_scaling".into(), fleet_scaling),
         (
             "configs".into(),
             Json::Arr(results.iter().map(result_to_json).collect()),
@@ -1009,17 +936,6 @@ fn main() {
     let place_kernel = place_kernel_section(smoke);
     if let Some(speedup) = place_kernel.get("engine_speedup").and_then(|s| s.as_f64()) {
         println!("place_kernel: batched place_all_groups is {speedup:.2}x the sequential walk");
-    }
-
-    eprintln!("sweeping fleet scaling...");
-    let fleet_scaling = fleet_scaling_section(smoke);
-    match fleet_scaling.get("points").and_then(|p| p.as_arr()) {
-        Some(points) => println!("fleet_scaling: {} worker-count point(s)", points.len()),
-        None => {
-            if let Some(note) = fleet_scaling.get("note").and_then(|n| n.as_str()) {
-                eprintln!("fleet_scaling: skipped: {note}");
-            }
-        }
     }
 
     let mut results = Vec::new();
@@ -1116,15 +1032,7 @@ fn main() {
         .ok()
         .and_then(|s| Json::parse(&s).ok())
         .unwrap_or(Json::Null);
-    let doc = merge_into(
-        existing,
-        &label,
-        &notes,
-        gf_kernel,
-        place_kernel,
-        fleet_scaling,
-        &results,
-    );
+    let doc = merge_into(existing, &label, &notes, gf_kernel, place_kernel, &results);
     std::fs::write(&out, doc.pretty()).expect("write report");
     eprintln!("wrote label {label:?} to {out}");
 }

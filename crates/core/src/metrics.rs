@@ -1,5 +1,6 @@
 //! Per-trial and aggregated metrics.
 
+use farm_des::compact::Fields;
 use farm_des::stats::{Histogram, Proportion, Running};
 use farm_des::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -234,9 +235,9 @@ impl McSummary {
     /// component serialized through its own bit-exact compact codec
     /// (`p1;...`, `r1;...`, `h1;...`). `|` is safe as the outer
     /// delimiter because none of the component codecs ever emit it.
-    /// This is the unit of the fleet checkpoint format: workers write
-    /// one line per chunk, and the coordinator must reconstruct a
-    /// summary whose fold is bit-identical to the in-process one.
+    /// This is the unit of the campaign checkpoint format: one line per
+    /// committed chunk, read back by a resumed run whose fold must be
+    /// bit-identical to an uninterrupted one.
     pub fn to_compact(&self) -> String {
         format!(
             "mc1|p_loss={}|p_redirection={}|failures={}|rebuilds={}|redirections={}\
@@ -259,42 +260,36 @@ impl McSummary {
         )
     }
 
-    /// Parse the [`McSummary::to_compact`] form.
+    /// Parse the [`McSummary::to_compact`] form: exactly what it
+    /// writes, every field once and in its order, each component
+    /// through its own strict codec. An error names the field.
     pub fn from_compact(s: &str) -> Result<McSummary, String> {
-        let mut parts = s.split('|');
-        if parts.next() != Some("mc1") {
-            return Err(format!("not a mc1 record: {:?}", s.get(..16).unwrap_or(s)));
-        }
-        let mut out = McSummary::new();
-        let mut seen = 0u32;
-        for part in parts {
-            let (key, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {part:?}"))?;
-            match key {
-                "p_loss" => out.p_loss = Proportion::from_compact(v)?,
-                "p_redirection" => out.p_redirection = Proportion::from_compact(v)?,
-                "failures" => out.failures = Running::from_compact(v)?,
-                "rebuilds" => out.rebuilds = Running::from_compact(v)?,
-                "redirections" => out.redirections = Running::from_compact(v)?,
-                "lost_groups" => out.lost_groups = Running::from_compact(v)?,
-                "mean_vulnerability" => out.mean_vulnerability = Running::from_compact(v)?,
-                "events" => out.events = Running::from_compact(v)?,
-                "no_targets" => out.no_targets = Running::from_compact(v)?,
-                "vulnerability" => out.vulnerability = Histogram::from_compact(v)?,
-                "queue_delay" => out.queue_delay = Histogram::from_compact(v)?,
-                "detect_lag" => out.detect_lag = Histogram::from_compact(v)?,
-                "transfer" => out.transfer = Histogram::from_compact(v)?,
-                "fanout" => out.fanout = Histogram::from_compact(v)?,
-                _ => return Err(format!("unknown field {key:?}")),
-            }
-            seen += 1;
-        }
-        if seen != 14 {
-            return Err(format!("expected 14 fields, got {seen}"));
-        }
+        let mut f = Fields::new(s, '|', "mc1")?;
+        // Struct fields evaluate in the order written: the encoder's.
+        let out = McSummary {
+            p_loss: field(&mut f, "p_loss", Proportion::from_compact)?,
+            p_redirection: field(&mut f, "p_redirection", Proportion::from_compact)?,
+            failures: field(&mut f, "failures", Running::from_compact)?,
+            rebuilds: field(&mut f, "rebuilds", Running::from_compact)?,
+            redirections: field(&mut f, "redirections", Running::from_compact)?,
+            lost_groups: field(&mut f, "lost_groups", Running::from_compact)?,
+            mean_vulnerability: field(&mut f, "mean_vulnerability", Running::from_compact)?,
+            events: field(&mut f, "events", Running::from_compact)?,
+            no_targets: field(&mut f, "no_targets", Running::from_compact)?,
+            vulnerability: field(&mut f, "vulnerability", Histogram::from_compact)?,
+            queue_delay: field(&mut f, "queue_delay", Histogram::from_compact)?,
+            detect_lag: field(&mut f, "detect_lag", Histogram::from_compact)?,
+            transfer: field(&mut f, "transfer", Histogram::from_compact)?,
+            fanout: field(&mut f, "fanout", Histogram::from_compact)?,
+        };
+        f.end()?;
         Ok(out)
     }
+}
+
+/// Read the `mc1` field `key` through its component codec.
+fn field<T>(f: &mut Fields, key: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    parse(f.raw(key)?).map_err(|e| format!("mc1: field {key}: {e}"))
 }
 
 impl Default for McSummary {
@@ -415,6 +410,21 @@ mod tests {
         let mut tampered = McSummary::new().to_compact();
         tampered.push_str("|bogus=r1;n=0;mean=0;m2=0;min=0;max=0");
         assert!(McSummary::from_compact(&tampered).is_err());
+        // `p_loss` written twice and `fanout` dropped: still 14 fields.
+        let mut s = McSummary::new();
+        let mut t = TrialMetrics::new();
+        t.fanout.record(134.0);
+        s.push(&t);
+        let good = s.to_compact();
+        let (body, _fanout) = good.rsplit_once("|fanout=").unwrap();
+        let p_loss = body.split('|').nth(1).unwrap();
+        let twice = body.replacen("|p_redirection", &format!("|{p_loss}|p_redirection"), 1);
+        let err = McSummary::from_compact(&twice).unwrap_err();
+        assert!(err.contains("expected field p_redirection"), "{err}");
+        // A component error names the summary field.
+        let bad = good.replacen("failures=r1;n=1", "failures=r1;n=01", 1);
+        let err = McSummary::from_compact(&bad).unwrap_err();
+        assert!(err.contains("field failures"), "{err}");
     }
 
     #[test]

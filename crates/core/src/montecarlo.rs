@@ -2,9 +2,8 @@
 //!
 //! The paper runs 100 trials per configuration (Figure 3). Each trial is
 //! a pure function of `(config, master_seed, trial_index)`, so trials
-//! fan out across scoped threads — or across worker *processes* in a
-//! fleet — and the aggregate is identical regardless of how they were
-//! scheduled.
+//! fan out across scoped threads and the aggregate is identical
+//! regardless of how they were scheduled.
 //!
 //! That identity is not automatic: `Running::merge` (Chan's parallel
 //! Welford update) and the pooled histograms' f64 sums are neither
@@ -17,14 +16,15 @@
 //! a left fold of the chunk summaries in ascending chunk order
 //! ([`fold_chunk_summaries`]).
 //!
-//! One private chunk-range runner builds and commits the chunks for
-//! both entry points: [`run_trials_observed`] runs the whole campaign
-//! (with the live monitor, the convergence stream and the stopping
-//! rule), and [`run_trial_chunks_observed`] runs a fleet worker's share.
-//! Workers (threads, and processes in a fleet) race to *claim* chunks
-//! but never change what a chunk contains or where it lands in the
-//! fold, so `threads=1`, `threads=N` and any fleet partition of the
-//! chunk space produce bit-identical summaries.
+//! One private chunk-set runner builds and commits the chunks for both
+//! entry points: [`run_trials_observed`] runs the whole campaign (with
+//! the live monitor, the convergence stream and the stopping rule), and
+//! [`run_trials_checkpointed`] runs the chunks a campaign checkpoint is
+//! missing, appending one line to the checkpoint per committed chunk,
+//! so a killed campaign resumes where it stopped. Worker threads race
+//! to *claim* chunks but never change what a chunk contains or where it
+//! lands in the fold, so `threads=1`, `threads=N` and any split of the
+//! chunks across interrupted runs produce bit-identical summaries.
 
 use crate::config::{PreparedConfig, SystemConfig};
 use crate::metrics::{McSummary, TrialMetrics};
@@ -35,10 +35,12 @@ use farm_obs::{
     diag, BatchHandle, ConvergenceCore, EventProfile, ObsOptions, Progress, SpanFormat,
     TimelineBands, TraceSel, WorkerShard,
 };
-use std::io::Write;
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{self, Read, Write};
 use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Trials per reduction chunk — the canonical unit of summary folding.
@@ -149,10 +151,9 @@ struct HeldChunk {
     artifacts: Vec<(u64, TrialArtifacts)>,
 }
 
-/// The committed part of a chunk-range run (one worker's, or the whole
-/// range's once the workers joined): the chunk summaries in commit
-/// order, the merged event-loop profile and the committed trials'
-/// artifacts.
+/// The committed part of a chunk-set run (one worker's, or the whole
+/// set's once the workers joined): the chunk summaries in commit order,
+/// the merged event-loop profile and the committed trials' artifacts.
 #[derive(Default)]
 struct Committed {
     chunks: Vec<(u64, McSummary)>,
@@ -168,6 +169,63 @@ impl Committed {
     }
 }
 
+/// The chunks a run builds, ascending: a whole range, or the chunks a
+/// campaign checkpoint is missing (any subset). Workers claim the
+/// `i`-th chunk with one atomic add, and [`ChunkSet::get`] maps it to a
+/// chunk index in O(1) without allocating.
+enum ChunkSet {
+    Range(Range<u64>),
+    Listed(Vec<u64>),
+}
+
+impl ChunkSet {
+    fn len(&self) -> u64 {
+        match self {
+            ChunkSet::Range(r) => r.end - r.start,
+            ChunkSet::Listed(v) => v.len() as u64,
+        }
+    }
+
+    /// The `i`-th chunk of the set, if it has that many.
+    fn get(&self, i: u64) -> Option<u64> {
+        match self {
+            ChunkSet::Range(r) => (i < r.end - r.start).then(|| r.start + i),
+            ChunkSet::Listed(v) => v.get(i as usize).copied(),
+        }
+    }
+
+    /// Trials covered by the set in a campaign of `trials_total` trials.
+    fn trials(&self, trials_total: u64) -> u64 {
+        (0..self.len())
+            .filter_map(|i| self.get(i))
+            .map(|c| {
+                let (lo, hi) = chunk_bounds(c, trials_total);
+                hi - lo
+            })
+            .sum()
+    }
+}
+
+/// The append side of a campaign checkpoint: one `chunk=C <mc1>` line
+/// per committed chunk, written with one `write` call while the lock is
+/// held, so lines from concurrent workers never interleave.
+struct CheckpointLog {
+    path: PathBuf,
+    file: Mutex<File>,
+}
+
+impl CheckpointLog {
+    fn append(&self, chunk: u64, summary: &McSummary) -> io::Result<()> {
+        let line = format!("chunk={chunk} {}\n", summary.to_compact());
+        let named = |e: &dyn std::fmt::Display| format!("{}: {e}", self.path.display());
+        // A worker that panicked mid-write may have left a torn line, so
+        // a poisoned lock ends the run rather than appending after it.
+        let mut file = self.file.lock().map_err(|e| io::Error::other(named(&e)))?;
+        file.write_all(line.as_bytes())
+            .map_err(|e| io::Error::new(e.kind(), named(&e)))
+    }
+}
+
 /// Settle held chunks against the stopping frontier: commit every chunk
 /// wholly below `min(decided, limit)` (no future boundary can exclude
 /// it), discard every chunk at or beyond a triggered stop `limit`, keep
@@ -178,23 +236,34 @@ fn settle_held(
     limit: u64,
     done: &mut Committed,
     shard: &Option<Arc<WorkerShard>>,
-) {
+    log: Option<&CheckpointLog>,
+) -> io::Result<()> {
     let commit_below = decided.min(limit);
     let mut i = 0;
     while i < held.len() {
         if held[i].hi <= commit_below {
-            commit_chunk(held.swap_remove(i), done, shard);
+            commit_chunk(held.swap_remove(i), done, shard, log)?;
         } else if held[i].lo >= limit {
             held.swap_remove(i);
         } else {
             i += 1;
         }
     }
+    Ok(())
 }
 
-/// Commit one chunk: its trials reach the live monitor's shard, its
-/// summary, profile and artifacts the committed aggregate.
-fn commit_chunk(h: HeldChunk, done: &mut Committed, shard: &Option<Arc<WorkerShard>>) {
+/// Commit one chunk: its line reaches the checkpoint (when there is
+/// one), its trials the live monitor's shard, its summary, profile and
+/// artifacts the committed aggregate.
+fn commit_chunk(
+    h: HeldChunk,
+    done: &mut Committed,
+    shard: &Option<Arc<WorkerShard>>,
+    log: Option<&CheckpointLog>,
+) -> io::Result<()> {
+    if let Some(log) = log {
+        log.append(h.chunk, &h.summary)?;
+    }
     if let Some(shard) = shard {
         for t in &h.trials {
             shard.record_trial(t.lost, t.events, t.wall_secs);
@@ -203,27 +272,18 @@ fn commit_chunk(h: HeldChunk, done: &mut Committed, shard: &Option<Arc<WorkerSha
     done.chunks.push((h.chunk, h.summary));
     merge_profile(&mut done.profile, h.profile);
     done.artifacts.extend(h.artifacts);
+    Ok(())
 }
 
 /// Fold chunk summaries into the campaign aggregate after validating
 /// exact coverage: the indices must be exactly `0..total_chunks`, each
-/// exactly once. A missing chunk (a seed-range gap after a lost worker)
-/// or a duplicate (double-counted work after a respawn) is an error,
-/// never a silently wrong number. The fold itself is the canonical
-/// ascending left fold, so the result is bit-identical to a
-/// single-process run over the same seed set.
+/// exactly once. A missing chunk (a gap in a resumed campaign) or a
+/// duplicate (double-counted work) is an error, never a silently wrong
+/// number. The fold itself is the canonical ascending left fold, so the
+/// result is bit-identical to an uninterrupted run over the same seeds.
 pub fn fold_chunk_summaries(
     mut chunks: Vec<(u64, McSummary)>,
     total_chunks: u64,
-) -> Result<McSummary, String> {
-    fold_chunk_range(&mut chunks, 0..total_chunks)
-}
-
-/// [`fold_chunk_summaries`] over the chunk range `range`: sorts `chunks`
-/// in place, checks that they are exactly `range`, and folds them.
-fn fold_chunk_range(
-    chunks: &mut [(u64, McSummary)],
-    range: Range<u64>,
 ) -> Result<McSummary, String> {
     chunks.sort_by_key(|&(c, _)| c);
     for (i, win) in chunks.windows(2).enumerate() {
@@ -235,17 +295,19 @@ fn fold_chunk_range(
             ));
         }
     }
-    let expected = range.end - range.start;
-    if chunks.len() as u64 != expected {
-        return Err(format!("expected {expected} chunks, got {}", chunks.len()));
+    if chunks.len() as u64 != total_chunks {
+        return Err(format!(
+            "expected {total_chunks} chunks, got {}",
+            chunks.len()
+        ));
     }
-    for (want, &(c, _)) in range.zip(chunks.iter()) {
+    for (want, &(c, _)) in (0..total_chunks).zip(chunks.iter()) {
         if c != want {
             return Err(format!("missing chunk {want} (found {c} in its place)"));
         }
     }
     let mut summary = McSummary::new();
-    for (_, cs) in chunks.iter() {
+    for (_, cs) in &chunks {
         summary.merge(cs);
     }
     Ok(summary)
@@ -299,55 +361,50 @@ fn merge_profile(acc: &mut Option<EventProfile>, p: Option<EventProfile>) {
     }
 }
 
-/// Trials covered by the chunk range `chunks` of a campaign of
-/// `trials_total` trials.
-fn range_trials(trials_total: u64, chunks: &Range<u64>) -> u64 {
-    (chunks.end * CHUNK_TRIALS).min(trials_total) - (chunks.start * CHUNK_TRIALS).min(trials_total)
-}
-
-/// The one Monte-Carlo runner behind every execution path: run the
+/// The one Monte-Carlo runner behind every execution path: build the
 /// reduction chunks `chunks` of a campaign of `trials_total` trials on
 /// `min(threads, chunks)` workers and return what committed.
 ///
 /// Worker 0 is the calling thread, so `threads = 1` spawns nothing.
-/// Workers claim chunk indices from one shared counter and build each
-/// chunk by pushing its trials in ascending order — the only way a chunk
-/// summary is ever built. A finished chunk commits once the convergence
-/// core's `decided_through` frontier has passed it (at once without a
-/// stop rule), and a chunk at or beyond a triggered stop limit is
-/// dropped. Chunks still held when the workers join are settled once
+/// Workers claim positions in `chunks` from one shared counter and
+/// build each chunk by pushing its trials in ascending order — the only
+/// way a chunk summary is ever built. A finished chunk commits once the
+/// convergence core's `decided_through` frontier has passed it (at once
+/// without a stop rule), and a chunk at or beyond a triggered stop limit
+/// is dropped. Chunks still held when the workers join are settled once
 /// against the final stop limit. The live monitor's shards record a
 /// chunk's trials when it commits; progress is reported per trial.
+///
+/// With a checkpoint `log`, a committed chunk's line is written before
+/// its worker claims the next chunk. A failed write stops every worker
+/// at its next claim and ends the run with that error.
 #[allow(clippy::too_many_arguments)]
-fn run_chunk_range(
+fn run_chunk_set(
     prepared: &Arc<PreparedConfig>,
     master_seed: u64,
     trials_total: u64,
-    chunks: Range<u64>,
+    chunks: &ChunkSet,
     mode: TrialMode,
     threads: usize,
     obs: &ObsOptions,
     conv: Option<&ConvergenceCore>,
     batch: Option<&BatchHandle>,
-) -> Committed {
+    log: Option<&CheckpointLog>,
+) -> io::Result<Committed> {
     assert!(threads >= 1);
-    let progress = Progress::new(range_trials(trials_total, &chunks), obs.progress_enabled());
+    let progress = Progress::new(chunks.trials(trials_total), obs.progress_enabled());
     let limit = || conv.map_or(u64::MAX, |c| c.stop_limit());
     let decided = || match conv {
         Some(c) if c.stopping() => c.decided_through(),
         _ => u64::MAX,
     };
-    let next = AtomicU64::new(chunks.start);
-    let worker = || {
+    let next = AtomicU64::new(0);
+    let worker = || -> io::Result<(Committed, Vec<HeldChunk>)> {
         let mut done = Committed::default();
         let mut held: Vec<HeldChunk> = Vec::new();
         let mut ws = TrialWorkspace::new();
         let shard = batch.map(|b| b.shard());
-        loop {
-            let chunk = next.fetch_add(1, Ordering::Relaxed);
-            if chunk >= chunks.end {
-                break;
-            }
+        while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
             let (lo, hi) = chunk_bounds(chunk, trials_total);
             // Stop limits are chunk-aligned, so a chunk is entirely
             // inside or entirely outside the kept prefix.
@@ -385,11 +442,15 @@ fn run_chunk_range(
                 }
             }
             held.push(h);
-            settle_held(&mut held, decided(), limit(), &mut done, &shard);
+            if let Err(e) = settle_held(&mut held, decided(), limit(), &mut done, &shard, log) {
+                // Every later claim now falls past the end of the set.
+                next.store(chunks.len(), Ordering::Relaxed);
+                return Err(e);
+            }
         }
-        (done, held)
+        Ok((done, held))
     };
-    let workers = (chunks.end - chunks.start).clamp(1, threads as u64);
+    let workers = chunks.len().clamp(1, threads as u64);
     let parts = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         let mut parts = vec![worker()];
@@ -401,7 +462,8 @@ fn run_chunk_range(
     progress.finish();
     let mut out = Committed::default();
     let mut leftover: Vec<HeldChunk> = Vec::new();
-    for (done, held) in parts {
+    for part in parts {
+        let (done, held) = part?;
         out.absorb(done);
         leftover.extend(held);
     }
@@ -410,9 +472,9 @@ fn run_chunk_range(
         // Committed through one extra shard so the monitor's totals
         // match the summary exactly.
         let shard = batch.map(|b| b.shard());
-        settle_held(&mut leftover, u64::MAX, limit(), &mut out, &shard);
+        settle_held(&mut leftover, u64::MAX, limit(), &mut out, &shard, log)?;
     }
-    out
+    Ok(out)
 }
 
 /// Publish a finished batch to the live monitor: its pooled span-phase
@@ -512,17 +574,19 @@ pub fn run_trials_observed(
     // One validated config per batch: every trial on every worker shares
     // the `Arc` instead of cloning the `SystemConfig`.
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let run = run_chunk_range(
+    let run = run_chunk_set(
         &prepared,
         master_seed,
         trials,
-        0..n_chunks(trials),
+        &ChunkSet::Range(0..n_chunks(trials)),
         mode,
         threads,
         obs,
         conv,
         batch.as_ref(),
-    );
+        None,
+    )
+    .expect("a run without a checkpoint does no I/O");
     // A triggered stop keeps exactly the (chunk-aligned) prefix below
     // its limit; the canonical fold checks that every chunk of it
     // committed once.
@@ -544,38 +608,75 @@ pub fn run_trials_observed(
     (summary, run.profile)
 }
 
-/// Run reduction chunks `[chunk_lo, chunk_hi)` of a campaign of
-/// `trials_total` trials — the fleet worker entry point.
-///
-/// The per-chunk summaries are returned *unfolded*, in ascending chunk
-/// order: `Running::merge` is not associative, so a worker that
-/// pre-folded its contiguous range could not be re-grouped into the
-/// campaign-wide ascending fold. The coordinator collects every chunk
-/// from every worker and folds them with [`fold_chunk_summaries`],
-/// which is bit-identical to [`run_trials_observed`] over the full seed
-/// set.
-///
-/// Only the live monitor (`FARM_STATUS` / `FARM_HTTP`) and the progress
-/// line attach, scoped to this worker's share of the campaign. A fleet
-/// worker returns bare chunk summaries, so profiling, tracing, the
-/// timeline, spans, post-mortems and convergence stopping are not
-/// attached even when `obs` asks for them.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial_chunks_observed(
+/// Chunk summaries by chunk index, in no particular order.
+type Chunks = Vec<(u64, McSummary)>;
+
+/// First line of a campaign checkpoint file.
+const CHECKPOINT_HEADER: &str = "farm-checkpoint-v1";
+
+/// FNV-1a 64 over everything that determines a chunk's summary: the
+/// full config (via `Debug`, which covers every field), the master
+/// seed, the campaign size, the chunking constant and the trial mode.
+/// Any drift re-keys the checkpoint namespace.
+pub fn campaign_fingerprint(
     cfg: &SystemConfig,
     master_seed: u64,
-    trials_total: u64,
-    chunk_lo: u64,
-    chunk_hi: u64,
+    trials: u64,
+    mode: TrialMode,
+) -> u64 {
+    let text =
+        format!("{cfg:?}|seed={master_seed}|trials={trials}|chunk={CHUNK_TRIALS}|mode={mode:?}");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The checkpoint file of a campaign under `dir`.
+pub fn checkpoint_path(dir: &Path, fingerprint: u64) -> PathBuf {
+    dir.join(format!("checkpoint-{fingerprint:016x}.txt"))
+}
+
+/// Run `trials` trials resumably, checkpointing each committed chunk
+/// to `<dir>/checkpoint-<fingerprint>.txt` ([`checkpoint_path`]).
+///
+/// The file holds a `farm-checkpoint-v1` header line, a
+/// `fingerprint=<16 hex>` line ([`campaign_fingerprint`]) and then one
+/// `chunk=C <mc1 record>` line per committed chunk, in commit order.
+/// A run loads the chunks already there, runs only the missing ones
+/// (any subset, not only a suffix) on `threads` threads, appending each
+/// line before its worker starts another chunk, and folds all of them
+/// through [`fold_chunk_summaries`]. So a campaign killed at any point
+/// and run again returns the bytes an uninterrupted run returns.
+///
+/// A final line without its trailing newline is a write the kill cut
+/// short: it is dropped and the file truncated before it. Any other bad
+/// line, a chunk index at or past `n_chunks(trials)`, a duplicate chunk
+/// or a fingerprint that does not match is an error naming the file and
+/// line; so is a failed write.
+///
+/// Only the progress line and the live monitor (`FARM_STATUS` /
+/// `FARM_HTTP`) attach, scoped to the chunks this run builds. A chunk
+/// loaded from the file has no per-trial record left, so profiling,
+/// tracing, the timeline, spans, post-mortems and the convergence
+/// stream and stopping rule are not attached even when `obs` asks for
+/// them: their output would cover only part of the campaign.
+pub fn run_trials_checkpointed(
+    cfg: &SystemConfig,
+    master_seed: u64,
+    trials: u64,
     mode: TrialMode,
     threads: usize,
     obs: &ObsOptions,
-) -> Vec<(u64, McSummary)> {
-    assert!(
-        chunk_lo <= chunk_hi && chunk_hi <= n_chunks(trials_total),
-        "chunk range {chunk_lo}:{chunk_hi} outside campaign of {} chunks",
-        n_chunks(trials_total)
-    );
+    dir: &Path,
+) -> io::Result<McSummary> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", dir.display())))?;
+    let fingerprint = campaign_fingerprint(cfg, master_seed, trials, mode);
+    let path = checkpoint_path(dir, fingerprint);
+    let (mut chunks, missing, log) = open_checkpoint(&path, fingerprint, trials)?;
     let obs = ObsOptions {
         progress: obs.progress,
         status: obs.status.clone(),
@@ -588,35 +689,159 @@ pub fn run_trial_chunks_observed(
     } else {
         None
     };
-    let range = chunk_lo..chunk_hi;
-    let batch: Option<BatchHandle> = monitor.map(|mon| {
-        mon.begin_batch_anchored(
-            config_label(cfg),
-            range_trials(trials_total, &range),
-            anchor,
-        )
-    });
+    let batch: Option<BatchHandle> = monitor
+        .map(|mon| mon.begin_batch_anchored(config_label(cfg), missing.trials(trials), anchor));
     let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut chunks = run_chunk_range(
+    let mut fresh = run_chunk_set(
         &prepared,
         master_seed,
-        trials_total,
-        range.clone(),
+        trials,
+        &missing,
         mode,
         threads,
         &obs,
         None,
         batch.as_ref(),
-    )
+        Some(&log),
+    )?
     .chunks;
-    // Sort, check and pool this worker's share (the monitor shows its
-    // span-phase summaries).
-    let pooled = fold_chunk_range(&mut chunks, range)
-        .unwrap_or_else(|e| panic!("chunk runner committed a wrong chunk set: {e}"));
     if let Some(b) = &batch {
+        // The monitor shows this run's share: its chunks, pooled in
+        // chunk order.
+        fresh.sort_by_key(|&(c, _)| c);
+        let mut pooled = McSummary::new();
+        for (_, s) in &fresh {
+            pooled.merge(s);
+        }
         finish_batch(b, &pooled);
     }
-    chunks
+    chunks.extend(fresh);
+    fold_chunk_summaries(chunks, n_chunks(trials))
+        .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))
+}
+
+/// Open (or create) a campaign checkpoint: the chunks it holds, the
+/// chunks it is missing, and the log that appends to it. A new file is
+/// created whole, header and fingerprint, by writing a temporary file
+/// and renaming it, so a kill never leaves a torn header. The file is
+/// locked for the life of the run, so a second process on the same
+/// campaign fails instead of appending duplicate chunks.
+fn open_checkpoint(
+    path: &Path,
+    fingerprint: u64,
+    trials: u64,
+) -> io::Result<(Chunks, ChunkSet, CheckpointLog)> {
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    let open = || OpenOptions::new().read(true).append(true).open(path);
+    let mut file = match open() {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+            let header = format!("{CHECKPOINT_HEADER}\nfingerprint={fingerprint:016x}\n");
+            std::fs::write(&tmp, header).map_err(named)?;
+            std::fs::rename(&tmp, path).map_err(named)?;
+            open()
+        }
+        opened => opened,
+    }
+    .map_err(named)?;
+    file.try_lock().map_err(|e| match e {
+        TryLockError::WouldBlock => io::Error::new(
+            io::ErrorKind::WouldBlock,
+            format!(
+                "{}: another process is running this campaign",
+                path.display()
+            ),
+        ),
+        TryLockError::Error(e) => named(e),
+    })?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(named)?;
+    let (chunks, missing, whole) =
+        parse_checkpoint(&bytes, fingerprint, trials).map_err(|(line, why)| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}:{line}: {why}", path.display()),
+            )
+        })?;
+    if whole < bytes.len() {
+        file.set_len(whole as u64).map_err(named)?;
+    }
+    let log = CheckpointLog {
+        path: path.to_path_buf(),
+        file: Mutex::new(file),
+    };
+    Ok((chunks, ChunkSet::Listed(missing), log))
+}
+
+/// Parse a checkpoint file's bytes: the chunks it holds, the ascending
+/// chunk indices it is missing, and the length of its whole lines (less
+/// than `bytes.len()` when the final line is torn). An error carries the
+/// 1-based line number and what is wrong with that line.
+fn parse_checkpoint(
+    bytes: &[u8],
+    fingerprint: u64,
+    trials: u64,
+) -> Result<(Chunks, Vec<u64>, usize), (usize, String)> {
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut lines = bytes[..whole].split(|&b| b == b'\n');
+    lines.next_back(); // the empty slice after the final newline
+    let mut lines = lines.enumerate().map(|(i, l)| (i + 1, l));
+    let fp_line = format!("fingerprint={fingerprint:016x}");
+    match lines.next() {
+        Some((_, l)) if l == CHECKPOINT_HEADER.as_bytes() => {}
+        _ => return Err((1, format!("expected the {CHECKPOINT_HEADER} header"))),
+    }
+    match lines.next() {
+        Some((_, l)) if l == fp_line.as_bytes() => {}
+        Some((no, l)) => {
+            let found = utf8(no, l)?;
+            return Err((
+                no,
+                format!("{found:?} does not match this campaign's {fp_line}"),
+            ));
+        }
+        None => return Err((2, format!("expected {fp_line}"))),
+    }
+    let total = n_chunks(trials);
+    let mut have = vec![false; total as usize];
+    let mut chunks = Vec::new();
+    for (no, line) in lines {
+        let line = utf8(no, line)?;
+        let (c, summary) = line
+            .strip_prefix("chunk=")
+            .and_then(|rest| rest.split_once(' '))
+            .ok_or_else(|| (no, "expected `chunk=C <mc1 record>`".to_string()))?;
+        let c = farm_des::compact::parse_uint(c)
+            .ok_or_else(|| (no, format!("bad chunk index {c:?}")))?;
+        if c >= total {
+            return Err((
+                no,
+                format!("chunk {c} is past the campaign's {total} chunks"),
+            ));
+        }
+        if std::mem::replace(&mut have[c as usize], true) {
+            return Err((no, format!("duplicate chunk {c}")));
+        }
+        let summary = McSummary::from_compact(summary).map_err(|e| (no, e))?;
+        let (lo, hi) = chunk_bounds(c, trials);
+        if summary.trials() != hi - lo {
+            return Err((
+                no,
+                format!(
+                    "chunk {c} holds {} trials, not {}",
+                    summary.trials(),
+                    hi - lo
+                ),
+            ));
+        }
+        chunks.push((c, summary));
+    }
+    let missing = (0..total).filter(|&c| !have[c as usize]).collect();
+    Ok((chunks, missing, whole))
+}
+
+fn utf8(no: usize, line: &[u8]) -> Result<&str, (usize, String)> {
+    std::str::from_utf8(line).map_err(|_| (no, "not UTF-8".to_string()))
 }
 
 /// Open `path` for this batch's artifact output; warn once under `key`
@@ -794,34 +1019,48 @@ mod tests {
         assert_eq!(next, trials);
     }
 
+    /// The committed chunks of `set` in a campaign of `trials` trials.
+    fn run_set(seed: u64, trials: u64, set: ChunkSet, threads: usize) -> Vec<(u64, McSummary)> {
+        let prepared = Arc::new(PreparedConfig::new(tiny()));
+        let obs = ObsOptions::off();
+        run_chunk_set(
+            &prepared,
+            seed,
+            trials,
+            &set,
+            TrialMode::Full,
+            threads,
+            &obs,
+            None,
+            None,
+            None,
+        )
+        .unwrap()
+        .chunks
+    }
+
+    /// A scratch directory unique to this process and test.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("farm-mc-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn chunked_worker_fold_matches_single_process() {
-        // The fleet invariant, in-process: run the campaign as two
-        // unequal worker shares plus the full driver, fold, and require
-        // bit-identity. 26 trials = 4 chunks split 1 + 3.
+        // Any split of the chunks into sets folds to the same bits:
+        // 26 trials = 4 chunks, split {0, 2} + {1, 3}.
         let cfg = tiny();
-        let obs = ObsOptions::off();
-        let (whole, _) = run_trials_observed(&cfg, 11, 26, TrialMode::Full, 2, &obs);
-        let mut chunks = run_trial_chunks_observed(&cfg, 11, 26, 0, 1, TrialMode::Full, 1, &obs);
-        chunks.extend(run_trial_chunks_observed(
-            &cfg,
-            11,
-            26,
-            1,
-            4,
-            TrialMode::Full,
-            2,
-            &obs,
-        ));
+        let (whole, _) = run_trials_observed(&cfg, 11, 26, TrialMode::Full, 2, &ObsOptions::off());
+        let mut chunks = run_set(11, 26, ChunkSet::Listed(vec![0, 2]), 1);
+        chunks.extend(run_set(11, 26, ChunkSet::Listed(vec![1, 3]), 2));
         let folded = fold_chunk_summaries(chunks, n_chunks(26)).unwrap();
         assert_eq!(folded.to_compact(), whole.to_compact());
     }
 
     #[test]
     fn fold_rejects_gaps_and_duplicates() {
-        let cfg = tiny();
-        let obs = ObsOptions::off();
-        let chunks = run_trial_chunks_observed(&cfg, 11, 16, 0, 2, TrialMode::Full, 1, &obs);
+        let chunks = run_set(11, 16, ChunkSet::Range(0..2), 1);
         assert_eq!(chunks.len(), 2);
         // Exact coverage passes.
         assert!(fold_chunk_summaries(chunks.clone(), 2).is_ok());
@@ -841,45 +1080,136 @@ mod tests {
 
     #[test]
     fn fleet_chunks_attach_no_discarded_recorders() {
-        // A fleet worker returns bare chunk summaries, so recorders whose
-        // output it would drop are never attached: the chunks equal an
-        // all-off run's bit for bit and no artifact file appears.
+        // A checkpointed run folds chunks it did not build, so recorders
+        // whose output would cover only part of the campaign are never
+        // attached: the result and the checkpoint equal an all-off
+        // run's bit for bit, every chunk runs despite the stop target,
+        // and no artifact file appears.
         let cfg = tiny();
-        let tmp = |name: &str| {
-            std::env::temp_dir()
-                .join(format!("farm-mc-fleet-{name}-{}", std::process::id()))
-                .to_string_lossy()
-                .into_owned()
-        };
-        let (timeline, spans) = (tmp("timeline.csv"), tmp("spans.jsonl"));
+        let (dir_off, dir_on) = (scratch("quiet"), scratch("noisy"));
+        let (timeline, spans) = (dir_on.join("timeline.csv"), dir_on.join("spans.jsonl"));
         let noisy = ObsOptions {
             profile: true,
             timeline: Some(farm_obs::TimelineSpec {
-                path: timeline.clone(),
+                path: timeline.to_string_lossy().into_owned(),
                 interval_secs: None,
             }),
             spans: Some(farm_obs::SpansSpec {
-                path: spans.clone(),
+                path: spans.to_string_lossy().into_owned(),
                 format: SpanFormat::Jsonl,
             }),
             target_rel_ci: Some(0.5),
             ..ObsOptions::off()
         };
-        let compact = |chunks: Vec<(u64, McSummary)>| {
-            chunks
-                .into_iter()
-                .map(|(c, s)| (c, s.to_compact()))
-                .collect::<Vec<_>>()
+        let run = |obs: &ObsOptions, dir: &Path| {
+            run_trials_checkpointed(&cfg, 11, 26, TrialMode::Full, 2, obs, dir).unwrap()
         };
-        let off =
-            run_trial_chunks_observed(&cfg, 11, 26, 0, 4, TrialMode::Full, 2, &ObsOptions::off());
-        let on = run_trial_chunks_observed(&cfg, 11, 26, 0, 4, TrialMode::Full, 2, &noisy);
-        assert_eq!(compact(off), compact(on));
-        assert!(
-            !std::path::Path::new(&timeline).exists(),
-            "timeline written"
+        let off = run(&ObsOptions::off(), &dir_off);
+        let on = run(&noisy, &dir_on);
+        assert_eq!(on.trials(), 26);
+        assert_eq!(off.to_compact(), on.to_compact());
+        let fp = campaign_fingerprint(&cfg, 11, 26, TrialMode::Full);
+        let lines = |dir: &Path| {
+            let body = std::fs::read_to_string(checkpoint_path(dir, fp)).unwrap();
+            let mut lines: Vec<String> = body.lines().map(str::to_string).collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(lines(&dir_off), lines(&dir_on));
+        assert!(!timeline.exists(), "timeline written");
+        assert!(!spans.exists(), "spans written");
+        let _ = std::fs::remove_dir_all(&dir_off);
+        let _ = std::fs::remove_dir_all(&dir_on);
+    }
+
+    #[test]
+    fn checkpoint_write_error_names_the_file() {
+        // The log's file is open read-only, so the first committed
+        // chunk's write fails and the run ends with an error naming the
+        // path rather than a warning.
+        let dir = scratch("ro");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.txt");
+        std::fs::write(&path, "").unwrap();
+        let log = CheckpointLog {
+            path: path.clone(),
+            file: Mutex::new(File::open(&path).unwrap()),
+        };
+        let prepared = Arc::new(PreparedConfig::new(tiny()));
+        let err = run_chunk_set(
+            &prepared,
+            11,
+            64,
+            &ChunkSet::Range(0..8),
+            TrialMode::Full,
+            2,
+            &ObsOptions::off(),
+            None,
+            None,
+            Some(&log),
+        )
+        .err()
+        .expect("a read-only checkpoint cannot be written");
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chunk_sets_map_claims_to_chunks() {
+        let range = ChunkSet::Range(1..4);
+        assert_eq!(range.len(), 3);
+        assert_eq!(
+            (range.get(0), range.get(2), range.get(3)),
+            (Some(1), Some(3), None)
         );
-        assert!(!std::path::Path::new(&spans).exists(), "spans written");
+        let listed = ChunkSet::Listed(vec![0, 3]);
+        assert_eq!((listed.get(1), listed.get(2)), (Some(3), None));
+        // 26 trials: chunks 0..=2 hold 8 each, chunk 3 holds 2.
+        assert_eq!(listed.trials(26), 10);
+        assert_eq!(range.trials(26), 18);
+    }
+
+    #[test]
+    fn torn_final_line_is_dropped_and_truncated() {
+        let dir = scratch("torn");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.txt");
+        let line = format!(
+            "chunk=1 {}\n",
+            run_set(3, 16, ChunkSet::Range(1..2), 1)[0].1.to_compact()
+        );
+        let whole = format!("{CHECKPOINT_HEADER}\nfingerprint={:016x}\n{line}", 9);
+        std::fs::write(&path, format!("{whole}chunk=0 mc1|p_lo")).unwrap();
+        let (chunks, missing, log) = open_checkpoint(&path, 9, 16).unwrap();
+        assert_eq!(chunks.iter().map(|&(c, _)| c).collect::<Vec<_>>(), [1]);
+        assert_eq!((missing.len(), missing.get(0)), (1, Some(0)));
+        drop(log);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
+        // A line that is not UTF-8 is an error with its line number.
+        let mut bytes = whole.clone().into_bytes();
+        bytes.extend_from_slice(b"chunk=0 \xff\n");
+        std::fs::write(&path, bytes).unwrap();
+        let err = open_checkpoint(&path, 9, 16).err().unwrap().to_string();
+        assert!(err.contains("checkpoint.txt:4: not UTF-8"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_run_on_a_locked_checkpoint_fails() {
+        // Two processes appending to one checkpoint would duplicate
+        // chunks; the lock turns the second into an error up front.
+        let dir = scratch("locked");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.txt");
+        let (_, missing, held) = open_checkpoint(&path, 1, 16).unwrap();
+        assert_eq!(missing.len(), 2);
+        let err = open_checkpoint(&path, 1, 16)
+            .err()
+            .expect("checkpoint is locked");
+        assert!(err.to_string().contains("another process"), "{err}");
+        drop(held);
+        assert!(open_checkpoint(&path, 1, 16).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

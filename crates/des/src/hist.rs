@@ -14,6 +14,7 @@
 //! (exponent + top mantissa bits), so bucketing is exact, deterministic
 //! and costs a couple of shifts per sample — no `log2`, no division.
 
+use crate::compact::{parse_uint, Fields};
 use serde::{Deserialize, Serialize};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per octave.
@@ -305,54 +306,57 @@ impl Histogram {
         s
     }
 
-    /// Parse the [`Histogram::to_compact`] form.
+    /// Parse the [`Histogram::to_compact`] form: exactly what it
+    /// writes, so campaign checkpoint files read back bit for bit.
+    /// Fields come in the encoder's order; buckets are listed by
+    /// strictly ascending index with non-zero counts; `n` must equal
+    /// `z + u + o + Σcounts`; and a non-empty histogram must have
+    /// `min <= max` (a quantile clamps into that range). An empty one
+    /// must carry [`Histogram::new`]'s sentinels.
     pub fn from_compact(s: &str) -> Result<Histogram, String> {
-        let mut h = Histogram::new();
-        let mut parts = s.split(';');
-        if parts.next() != Some("h1") {
-            return Err("not a v1 compact histogram".into());
-        }
-        let mut have_buckets = false;
-        for part in parts {
-            let (key, val) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {part:?}"))?;
-            let int = || val.parse::<u64>().map_err(|e| format!("{key}: {e}"));
-            let hexf = || {
-                u64::from_str_radix(val, 16)
-                    .map(f64::from_bits)
-                    .map_err(|e| format!("{key}: {e}"))
-            };
-            match key {
-                "z" => h.zero = int()?,
-                "u" => h.underflow = int()?,
-                "o" => h.overflow = int()?,
-                "n" => h.total = int()?,
-                "sum" => h.sum = hexf()?,
-                "min" => h.min = hexf()?,
-                "max" => h.max = hexf()?,
-                "b" => {
-                    have_buckets = true;
-                    if val.is_empty() {
-                        continue;
-                    }
-                    h.counts = vec![0; N_BUCKETS];
-                    for pair in val.split(',') {
-                        let (i, c) = pair
-                            .split_once(':')
-                            .ok_or_else(|| format!("bad bucket {pair:?}"))?;
-                        let i: usize = i.parse().map_err(|e| format!("bucket index: {e}"))?;
-                        if i >= N_BUCKETS {
-                            return Err(format!("bucket index {i} out of range"));
-                        }
-                        h.counts[i] = c.parse().map_err(|e| format!("bucket count: {e}"))?;
-                    }
+        let mut f = Fields::new(s, ';', "h1")?;
+        let mut h = Histogram {
+            zero: f.uint("z")?,
+            underflow: f.uint("u")?,
+            overflow: f.uint("o")?,
+            counts: Vec::new(),
+            total: f.uint("n")?,
+            sum: f.hex_f64("sum")?,
+            min: f.hex_f64("min")?,
+            max: f.hex_f64("max")?,
+        };
+        let buckets = f.raw("b")?;
+        f.end()?;
+        let mut seen = [h.zero, h.underflow, h.overflow]
+            .iter()
+            .try_fold(0u64, |a, &c| a.checked_add(c));
+        if !buckets.is_empty() {
+            h.counts = vec![0; N_BUCKETS];
+            let mut next = 0;
+            for pair in buckets.split(',') {
+                let bad = || format!("h1: field b: bad bucket {pair:?}");
+                let (i, c) = pair.split_once(':').ok_or_else(bad)?;
+                let i = parse_uint(i).ok_or_else(bad)? as usize;
+                let c = parse_uint(c).filter(|&c| c > 0).ok_or_else(bad)?;
+                if i < next || i >= N_BUCKETS {
+                    return Err(format!("h1: field b: bucket {i} out of order or range"));
                 }
-                other => return Err(format!("unknown field {other:?}")),
+                h.counts[i] = c;
+                next = i + 1;
+                seen = seen.and_then(|a| a.checked_add(c));
             }
         }
-        if !have_buckets {
-            return Err("missing bucket list".into());
+        if seen != Some(h.total) {
+            return Err(format!("h1: field n: {} is not z+u+o+Σcounts", h.total));
+        }
+        let empty = Histogram::new();
+        let bounds_ok = if h.total == 0 {
+            (h.min.to_bits(), h.max.to_bits()) == (empty.min.to_bits(), empty.max.to_bits())
+        } else {
+            h.min <= h.max
+        };
+        if !bounds_ok {
+            return Err(format!("h1: field min/max: bad bounds for n={}", h.total));
         }
         Ok(h)
     }
@@ -572,5 +576,35 @@ mod tests {
         assert!(Histogram::from_compact("h1;z=x;b=").is_err());
         assert!(Histogram::from_compact("h1;z=0").is_err()); // no bucket list
         assert!(Histogram::from_compact("h1;b=999999:1").is_err());
+        // Read back, this one's p50 would panic: no samples behind n.
+        let err = Histogram::from_compact("h1;n=5;b=").unwrap_err();
+        assert!(err.contains("field z"), "{err}");
+        let mut h = Histogram::new();
+        h.record(3.0);
+        h.record(5.0);
+        let good = h.to_compact();
+        assert_eq!(Histogram::from_compact(&good).unwrap().to_compact(), good);
+        // n must equal z+u+o+Σcounts.
+        let err = Histogram::from_compact(&good.replace(";n=2;", ";n=3;")).unwrap_err();
+        assert!(err.contains("field n"), "{err}");
+        // Buckets ascend strictly and hold non-zero counts.
+        let (head, buckets) = good.split_once(";b=").unwrap();
+        let (first, second) = buckets.split_once(',').unwrap();
+        for bad in [format!("{second},{first}"), format!("{first},{first}")] {
+            assert!(Histogram::from_compact(&format!("{head};b={bad}")).is_err());
+        }
+        let zero = format!("{head};b={first},0:0,{second}");
+        assert!(Histogram::from_compact(&zero).is_err());
+        // min > max on a non-empty histogram.
+        let (min, max) = (
+            format!("{:016x}", 3f64.to_bits()),
+            format!("{:016x}", 5f64.to_bits()),
+        );
+        let swapped = good
+            .replace(&min, "MIN")
+            .replace(&max, &min)
+            .replace("MIN", &max);
+        let err = Histogram::from_compact(&swapped).unwrap_err();
+        assert!(err.contains("min/max"), "{err}");
     }
 }

@@ -13,7 +13,8 @@
 //! * [`RngStream`] — reproducible, independently seeded random-number
 //!   streams (one per logical entity) built on a SplitMix64 seed sequence,
 //! * [`stats`] — online mean/variance accumulators and binomial
-//!   confidence intervals used when aggregating trials.
+//!   confidence intervals used when aggregating trials, with exact
+//!   one-line codecs read back by the strict [`compact`] reader.
 //!
 //! Parallelism happens *across* trials (each trial owns one `EventQueue`),
 //! which keeps every trial bit-for-bit reproducible from its seed.
@@ -29,6 +30,7 @@
 //! assert_eq!(t.as_secs(), 1.0);
 //! ```
 
+pub mod compact;
 pub mod hist;
 pub mod queue;
 pub mod rng;

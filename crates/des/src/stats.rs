@@ -1,5 +1,6 @@
 //! Small statistics toolkit for aggregating Monte-Carlo trials.
 
+use crate::compact::Fields;
 use serde::{Deserialize, Serialize};
 
 // The log-bucketed distribution accumulator lives in [`crate::hist`]
@@ -93,7 +94,7 @@ impl Running {
     }
 
     /// Exact single-line form: `r1;n=..;mean=..;m2=..;min=..;max=..`,
-    /// with every float as its 16-hex-digit bit pattern. The fleet
+    /// with every float as its 16-hex-digit bit pattern. Campaign
     /// checkpoint files round-trip accumulators through this, so it
     /// must preserve every bit (including the ±inf min/max sentinels
     /// of an empty accumulator) — same discipline as
@@ -109,36 +110,18 @@ impl Running {
         )
     }
 
-    /// Parse the [`Running::to_compact`] form.
+    /// Parse the [`Running::to_compact`] form: exactly what it writes,
+    /// fields in its order (see [`crate::compact`]).
     pub fn from_compact(s: &str) -> Result<Running, String> {
-        let mut parts = s.split(';');
-        if parts.next() != Some("r1") {
-            return Err(format!("not a r1 record: {s:?}"));
-        }
-        let mut r = Running::new();
-        let mut seen = 0u32;
-        for part in parts {
-            let (key, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {part:?}"))?;
-            let hexf = || -> Result<f64, String> {
-                u64::from_str_radix(v, 16)
-                    .map(f64::from_bits)
-                    .map_err(|e| format!("{key}={v:?}: {e}"))
-            };
-            match key {
-                "n" => r.n = v.parse().map_err(|e| format!("n={v:?}: {e}"))?,
-                "mean" => r.mean = hexf()?,
-                "m2" => r.m2 = hexf()?,
-                "min" => r.min = hexf()?,
-                "max" => r.max = hexf()?,
-                _ => return Err(format!("unknown field {key:?}")),
-            }
-            seen += 1;
-        }
-        if seen != 5 {
-            return Err(format!("expected 5 fields, got {seen}: {s:?}"));
-        }
+        let mut f = Fields::new(s, ';', "r1")?;
+        let r = Running {
+            n: f.uint("n")?,
+            mean: f.hex_f64("mean")?,
+            m2: f.hex_f64("m2")?,
+            min: f.hex_f64("min")?,
+            max: f.hex_f64("max")?,
+        };
+        f.end()?;
         Ok(r)
     }
 }
@@ -245,38 +228,23 @@ impl Proportion {
 
     /// Exact single-line form: `p1;s=..;t=..` (integer counts, so this
     /// codec is trivially lossless — it exists for symmetry with
-    /// [`Running::to_compact`] in the fleet checkpoint format).
+    /// [`Running::to_compact`] in the campaign checkpoint format).
     pub fn to_compact(&self) -> String {
         format!("p1;s={};t={}", self.successes, self.trials)
     }
 
-    /// Parse the [`Proportion::to_compact`] form.
+    /// Parse the [`Proportion::to_compact`] form: exactly what it
+    /// writes, with `s <= t`.
     pub fn from_compact(s: &str) -> Result<Proportion, String> {
-        let mut parts = s.split(';');
-        if parts.next() != Some("p1") {
-            return Err(format!("not a p1 record: {s:?}"));
+        let mut f = Fields::new(s, ';', "p1")?;
+        let (successes, trials) = (f.uint("s")?, f.uint("t")?);
+        f.end()?;
+        if successes > trials {
+            return Err(format!(
+                "p1: field s: {successes} successes of {trials} trials"
+            ));
         }
-        let mut successes = None;
-        let mut trials = None;
-        for part in parts {
-            let (key, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {part:?}"))?;
-            let n: u64 = v.parse().map_err(|e| format!("{key}={v:?}: {e}"))?;
-            match key {
-                "s" => successes = Some(n),
-                "t" => trials = Some(n),
-                _ => return Err(format!("unknown field {key:?}")),
-            }
-        }
-        match (successes, trials) {
-            (Some(s), Some(t)) if s <= t => Ok(Proportion {
-                successes: s,
-                trials: t,
-            }),
-            (Some(s), Some(t)) => Err(format!("{s} successes of {t} trials")),
-            _ => Err(format!("missing field in {s:?}")),
-        }
+        Ok(Proportion { successes, trials })
     }
 }
 
@@ -504,6 +472,18 @@ mod tests {
         assert!(Running::from_compact("r1;n=1;mean=zz").is_err());
         assert!(Running::from_compact("r1;n=1").is_err());
         assert!(Running::from_compact("r1;n=1;mean=0;m2=0;min=0;max=0;extra=0").is_err());
+        // A repeated field, a reordered one, and non-canonical numbers.
+        let err = Running::from_compact("r1;n=3;n=3;mean=0;m2=0;min=0").unwrap_err();
+        assert!(err.contains("expected field mean"), "{err}");
+        let good = Running::new().to_compact();
+        assert!(Running::from_compact(&good.replace("n=0", "n=00")).is_err());
+        assert!(Running::from_compact(&good.replace("n=0", "n=+0")).is_err());
+        let upper = good.replace("7ff0", "7FF0");
+        assert!(Running::from_compact(&upper)
+            .unwrap_err()
+            .contains("field min"));
+        let m2_first = good.replace(";mean=", ";tmp=").replace(";m2=", ";mean=");
+        assert!(Running::from_compact(&m2_first).is_err());
     }
 
     #[test]
@@ -514,5 +494,8 @@ mod tests {
         assert!(Proportion::from_compact("p1;s=5;t=2").is_err());
         assert!(Proportion::from_compact("p1;s=5").is_err());
         assert!(Proportion::from_compact("r1;s=5;t=9").is_err());
+        assert!(Proportion::from_compact("p1;t=9;s=5").is_err());
+        assert!(Proportion::from_compact("p1;s=5;t=9;t=9").is_err());
+        assert!(Proportion::from_compact("p1;s=5;t=09").is_err());
     }
 }

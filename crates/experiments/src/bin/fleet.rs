@@ -1,29 +1,15 @@
-//! Fleet campaign driver: one binary, three modes.
-//!
-//! * default — coordinator: shard the campaign's reduction chunks
-//!   across N worker processes (this same binary in `--worker` mode),
-//!   poll their `/status`, merge telemetry into
-//!   `<dir>/fleet-status.json` (+ optional aggregated exporter and a
-//!   live stderr dashboard), checkpoint/resume per range, and fold the
-//!   per-chunk summaries into the campaign aggregate — bit-identical
-//!   to a single-process run.
-//! * `--worker --range LO:HI` — run chunk range `[LO, HI)` and write
-//!   its `farm-worker-result-v1` checkpoint.
-//! * `--single` — the single-process reference run, summary written
-//!   next to the fleet one for a byte-for-byte diff.
+//! Resumable campaign driver: run the fixed fig3 mirroring campaign in
+//! one process, checkpointing each committed reduction chunk under the
+//! campaign directory. Killed and started again with the same options,
+//! it runs only the missing chunks and writes the same
+//! `<dir>/fleet-summary.txt` bytes as an uninterrupted run.
+use farm_core::montecarlo::default_threads;
 use farm_experiments::cli::Options;
 use farm_experiments::fleet;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: fleet [--single | --worker --range LO:HI] \
-     [--workers N] [--fleet DIR] [--http ADDR] [--dashboard|--no-dashboard] \
-     [--no-worker-http] [--quick|--full] [--trials N] [--seed S] [--threads T] [--scale X]";
-
-enum Mode {
-    Coordinator,
-    Worker { lo: u64, hi: u64 },
-    Single,
-}
+const USAGE: &str = "usage: fleet [--fleet DIR] [--quick|--full] [--trials N] [--seed S] \
+     [--threads T] [--scale X]";
 
 fn fail(msg: &str) -> ! {
     eprintln!("fleet: {msg}\n{USAGE}");
@@ -35,83 +21,40 @@ fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
         .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
 }
 
+fn number<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    value(it, flag)
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag}: not a number")))
+}
+
 fn main() {
-    let mut opts = Options::quick_default();
-    // A fleet worker should not eat every core by default: the fleet's
-    // parallelism is its worker processes. `--threads` overrides.
-    opts.threads = 1;
-    let mut mode = Mode::Coordinator;
-    let mut worker = false;
-    let mut range: Option<(u64, u64)> = None;
-    let mut workers = farm_obs::fleet_workers_from_env();
-    let mut dir =
-        farm_obs::fleet_dir_from_env().unwrap_or_else(|| farm_obs::DEFAULT_FLEET_DIR.to_string());
-    let mut http: Option<String> = None;
-    let mut dashboard: Option<bool> = None;
-    let mut http_workers = true;
+    // `--quick`/`--full` pick the defaults; the other flags override
+    // them wherever they appear on the command line.
+    let mut full = false;
+    let (mut trials, mut seed, mut scale) = (None, None, None);
+    let mut threads = default_threads();
+    let mut dir = fleet::fleet_dir(std::env::var("FARM_FLEET").ok().as_deref());
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--worker" => worker = true,
-            "--single" => mode = Mode::Single,
-            "--range" => {
-                let v = value(&mut it, "--range");
-                let Some((lo, hi)) = v.split_once(':') else {
-                    fail("--range wants LO:HI");
-                };
-                let lo = lo.parse().unwrap_or_else(|_| fail("--range: bad LO"));
-                let hi = hi.parse().unwrap_or_else(|_| fail("--range: bad HI"));
-                range = Some((lo, hi));
-            }
-            "--workers" => {
-                workers = value(&mut it, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--workers: not a number"));
-                if workers == 0 {
-                    fail("--workers must be >= 1");
-                }
-            }
             "--fleet" => dir = value(&mut it, "--fleet"),
-            "--http" => http = Some(value(&mut it, "--http")),
-            "--dashboard" => dashboard = Some(true),
-            "--no-dashboard" => dashboard = Some(false),
-            "--no-worker-http" => http_workers = false,
-            "--quick" => {
-                let threads = opts.threads;
-                opts = Options::quick_default();
-                opts.threads = threads;
-            }
-            "--full" => {
-                let threads = opts.threads;
-                opts = Options::full_default();
-                opts.threads = threads;
-            }
-            "--trials" => {
-                opts.trials = value(&mut it, "--trials")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--trials: not a number"));
-            }
-            "--seed" => {
-                opts.seed = value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed: not a number"));
-            }
+            "--quick" => full = false,
+            "--full" => full = true,
+            "--trials" => trials = Some(number(&mut it, "--trials")),
+            "--seed" => seed = Some(number(&mut it, "--seed")),
             "--threads" => {
-                opts.threads = value(&mut it, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--threads: not a number"));
-                if opts.threads == 0 {
+                threads = number(&mut it, "--threads");
+                if threads == 0 {
                     fail("--threads must be >= 1");
                 }
             }
             "--scale" => {
-                opts.scale = value(&mut it, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--scale: not a number"));
-                if !(opts.scale > 0.0 && opts.scale.is_finite()) {
+                let x: f64 = number(&mut it, "--scale");
+                if !(x > 0.0 && x.is_finite()) {
                     fail("--scale must be a positive finite number");
                 }
+                scale = Some(x);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -120,56 +63,32 @@ fn main() {
             other => fail(&format!("unknown flag {other}")),
         }
     }
-    if worker {
-        let Some((lo, hi)) = range else {
-            fail("--worker needs --range LO:HI");
-        };
-        mode = Mode::Worker { lo, hi };
-    } else if range.is_some() {
-        fail("--range only makes sense with --worker");
-    }
+    let mut opts = if full {
+        Options::full_default()
+    } else {
+        Options::quick_default()
+    };
+    opts.trials = trials.unwrap_or(opts.trials);
+    opts.seed = seed.unwrap_or(opts.seed);
+    opts.scale = scale.unwrap_or(opts.scale);
+    opts.threads = threads;
 
-    let dir = PathBuf::from(dir);
-    match mode {
-        Mode::Worker { lo, hi } => {
-            if let Err(e) = fleet::run_worker(&opts, &dir, lo, hi) {
-                eprintln!("fleet worker: {e}");
-                std::process::exit(1);
-            }
+    match fleet::run_campaign(&opts, &PathBuf::from(dir)) {
+        Ok(summary) => {
+            let p = summary.p_loss;
+            let (lo, hi) = p.wilson95();
+            println!(
+                "fleet: {} trials, {} losses, p_loss={:.6} wilson95=[{:.6}, {:.6}]",
+                p.trials,
+                p.successes,
+                p.value(),
+                lo,
+                hi
+            );
         }
-        Mode::Single => match fleet::run_single(&opts, &dir) {
-            Ok(summary) => print_summary("single-process", &summary),
-            Err(e) => {
-                eprintln!("fleet --single: {e}");
-                std::process::exit(1);
-            }
-        },
-        Mode::Coordinator => {
-            let mut coord = fleet::CoordinatorOptions::new(dir);
-            coord.workers = workers;
-            coord.http = http;
-            coord.dashboard = dashboard;
-            coord.http_workers = http_workers;
-            match fleet::run_coordinator(&opts, &coord) {
-                Ok(summary) => print_summary(&format!("fleet({workers} workers)"), &summary),
-                Err(e) => {
-                    eprintln!("fleet: {e}");
-                    std::process::exit(1);
-                }
-            }
+        Err(e) => {
+            eprintln!("fleet: {e}");
+            std::process::exit(1);
         }
     }
-}
-
-fn print_summary(label: &str, summary: &farm_core::McSummary) {
-    let p = summary.p_loss;
-    let (lo, hi) = p.wilson95();
-    println!(
-        "{label}: {} trials, {} losses, p_loss={:.6} wilson95=[{:.6}, {:.6}]",
-        p.trials,
-        p.successes,
-        p.value(),
-        lo,
-        hi
-    );
 }

@@ -22,7 +22,9 @@
 //!   sharded per-worker metrics registry aggregated on demand, periodic
 //!   atomic-rename status snapshots with an online Wilson-interval loss
 //!   estimate (`FARM_STATUS=path[@secs]` / `--status`), and a std-only
-//!   HTTP listener serving `/metrics` + `/status` (`FARM_HTTP=addr`),
+//!   HTTP listener serving `/metrics` + `/status` (`FARM_HTTP=addr`);
+//!   a resumed checkpointed campaign reports through it too, counting
+//!   only the chunks that run builds,
 //! * [`convergence::ConvergenceTracker`] / [`convergence::ConvergenceCore`]
 //!   — estimator-convergence observability: a decimated JSONL stream of
 //!   Wilson-interval trajectories, analytic-anchor drift, and
@@ -35,11 +37,6 @@
 //!   `farm-spans-v1` JSONL or a Chrome trace-event file
 //!   (`FARM_SPANS=path[@fmt]` / `--spans`), and critical-path
 //!   breakdowns in data-loss post-mortems,
-//! * [`fleet::FleetMonitor`] — fleet-scale campaign observability: the
-//!   coordinator-side merge of many worker processes' telemetry into
-//!   `fleet-status-v1` snapshots, an aggregated `/metrics` + `/status`
-//!   exporter with per-worker labels and fleet rollups, and a
-//!   rate-limited stderr dashboard (`FARM_FLEET` / `FARM_WORKERS`),
 //! * [`ObsOptions`] — the switchboard, populated from `FARM_TRACE` /
 //!   `FARM_PROFILE` / `FARM_PROGRESS` / `FARM_TIMELINE` /
 //!   `FARM_POSTMORTEM` / `FARM_STATUS` / `FARM_HTTP` /
@@ -54,7 +51,6 @@
 
 pub mod convergence;
 pub mod diag;
-pub mod fleet;
 pub mod flight;
 pub mod http;
 pub mod profile;
@@ -68,10 +64,6 @@ pub mod timeline;
 pub mod trace;
 
 pub use convergence::{ConvergenceCore, ConvergenceSpec, ConvergenceTracker, STOP_CHECK_EVERY};
-pub use fleet::{
-    fleet_dir_from_env, fleet_workers_from_env, http_get, FleetMonitor, Json, WorkerView,
-    DEFAULT_FLEET_DIR, DEFAULT_FLEET_WORKERS,
-};
 pub use flight::FlightRecorder;
 pub use profile::EventProfile;
 pub use progress::Progress;

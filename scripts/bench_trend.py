@@ -66,14 +66,6 @@ PLACE_KERNEL_COLUMNS = [
 ]
 
 
-# (column header, point key) for the fleet-scaling sweep (PR 10
-# onwards; reports without a `fleet_scaling` run section skip it).
-FLEET_COLUMNS = [
-    ("trials/sec", "trials_per_sec"),
-    ("wall secs", "wall_secs"),
-]
-
-
 def pr_number(path):
     m = re.search(r"BENCH_PR(\d+)\.json$", path)
     return int(m.group(1)) if m else -1
@@ -112,8 +104,8 @@ def fmt(entry, key, spec):
 
 
 def load_rows(repo_dir):
-    """Config rows, kernel rows, fleet-scaling points, run notes."""
-    rows, kernel_rows, place_rows, fleet_rows, notes = [], [], [], [], []
+    """Config rows, kernel rows, run notes."""
+    rows, kernel_rows, place_rows, notes = [], [], [], []
     paths = sorted(glob.glob(os.path.join(repo_dir, "BENCH_PR*.json")),
                    key=pr_number)
     if not paths:
@@ -161,23 +153,11 @@ def load_rows(repo_dir):
                             "kernel": kern.get("kernel", ""),
                             "entry": kern,
                         })
-            # Fleet scaling (PR 10 onwards): a list of {workers,
-            # trials_per_sec, wall_secs} points, or null/absent when
-            # the probe could not run (e.g. fleet binary not built).
-            sec = run.get("fleet_scaling")
-            points = sec.get("points") if isinstance(sec, dict) else None
-            for pt in points if isinstance(points, list) else []:
-                if isinstance(pt, dict) and _num(pt.get("workers")) is not None:
-                    fleet_rows.append({
-                        "report": report,
-                        "label": label,
-                        "entry": pt,
-                    })
             if run.get("notes"):
                 notes.append((report, label, run["notes"]))
     if not rows and not kernel_rows:
         sys.exit(f"bench_trend: no usable runs in any report under {repo_dir}")
-    return rows, kernel_rows, place_rows, fleet_rows, notes
+    return rows, kernel_rows, place_rows, notes
 
 
 def render_kernel_table(out, title, rows, columns):
@@ -193,32 +173,7 @@ def render_kernel_table(out, title, rows, columns):
         print("| " + " | ".join(cells) + " |", file=out)
 
 
-def render_fleet_table(out, rows):
-    """Workers vs trials/sec, with speedup relative to each run's
-    1-worker point (empty when that baseline is absent or zero)."""
-    print("\n## Fleet scaling (workers vs trials/sec)\n", file=out)
-    headers = ["report", "label", "workers"] + [c[0] for c in FLEET_COLUMNS] \
-        + ["speedup vs 1 worker"]
-    print("| " + " | ".join(headers) + " |", file=out)
-    print("|" + "---|" * len(headers), file=out)
-    base = {}
-    for r in rows:
-        tps = _num(r["entry"].get("trials_per_sec"))
-        if _num(r["entry"].get("workers")) == 1 and tps:
-            base[(r["report"], r["label"])] = tps
-    for r in rows:
-        e = r["entry"]
-        cells = [r["report"], r["label"], "{:.0f}".format(e["workers"])]
-        for _, key in FLEET_COLUMNS:
-            v = _num(e.get(key))
-            cells.append("" if v is None else "{:,.2f}".format(v))
-        tps = _num(e.get("trials_per_sec"))
-        b = base.get((r["report"], r["label"]))
-        cells.append("" if tps is None or not b else "{:.2f}x".format(tps / b))
-        print("| " + " | ".join(cells) + " |", file=out)
-
-
-def render_markdown(rows, kernel_rows, place_rows, fleet_rows, notes):
+def render_markdown(rows, kernel_rows, place_rows, notes):
     out = io.StringIO()
     print("# Benchmark trajectory", file=out)
     print(file=out)
@@ -241,8 +196,6 @@ def render_markdown(rows, kernel_rows, place_rows, fleet_rows, notes):
     if place_rows:
         render_kernel_table(out, "Placement kernels", place_rows,
                             PLACE_KERNEL_COLUMNS)
-    if fleet_rows:
-        render_fleet_table(out, fleet_rows)
     if notes:
         print("\n## Notes\n", file=out)
         for report, label, text in notes:
@@ -250,7 +203,7 @@ def render_markdown(rows, kernel_rows, place_rows, fleet_rows, notes):
     return out.getvalue()
 
 
-def render_csv(rows, kernel_rows, place_rows, fleet_rows):
+def render_csv(rows, kernel_rows, place_rows):
     def cell(v):
         return json.dumps(v) if isinstance(v, dict) else v
 
@@ -271,13 +224,6 @@ def render_csv(rows, kernel_rows, place_rows, fleet_rows):
         for r in krows:
             w.writerow([r["report"], r["label"], r["kernel"]] +
                        [r["entry"].get(k, "") for k in kkeys])
-    if fleet_rows:
-        fkeys = ["workers"] + [k for _, k in FLEET_COLUMNS]
-        w.writerow([])
-        w.writerow(["report", "label"] + fkeys)
-        for r in fleet_rows:
-            w.writerow([r["report"], r["label"]] +
-                       [r["entry"].get(k, "") for k in fkeys])
     return out.getvalue()
 
 
@@ -294,8 +240,8 @@ def main(argv):
         else:
             print(__doc__.strip(), file=sys.stderr)
             return 2
-    rows, kernel_rows, place_rows, fleet_rows, notes = load_rows(repo_dir)
-    md = render_markdown(rows, kernel_rows, place_rows, fleet_rows, notes)
+    rows, kernel_rows, place_rows, notes = load_rows(repo_dir)
+    md = render_markdown(rows, kernel_rows, place_rows, notes)
     if md_out:
         with open(md_out, "w") as f:
             f.write(md)
@@ -304,7 +250,7 @@ def main(argv):
         print(md, end="")
     if csv_out:
         with open(csv_out, "w") as f:
-            f.write(render_csv(rows, kernel_rows, place_rows, fleet_rows))
+            f.write(render_csv(rows, kernel_rows, place_rows))
         print(f"bench_trend: wrote {csv_out}")
     return 0
 

@@ -4,7 +4,6 @@
 Usage:
     check_telemetry.py TIMELINE.csv POSTMORTEM.jsonl [--expect-loss]
     check_telemetry.py status STATUS.json
-    check_telemetry.py fleet FLEET_STATUS.json [LATER_FLEET_STATUS.json]
     check_telemetry.py metrics METRICS.txt [LATER_METRICS.txt]
     check_telemetry.py convergence STREAM.jsonl [--expect-stop]
     check_telemetry.py spans SPANS.jsonl [--expect-loss]
@@ -19,14 +18,6 @@ With `--expect-loss`, at least one post-mortem line must be present.
 keys, internal consistency (losses <= trials, p_loss == losses/trials,
 Wilson interval brackets the estimate, campaign totals equal the batch
 sums).
-
-`fleet` validates a merged fleet coordinator snapshot (`farm-fleet` /
-the `fleet` binary, schema `fleet-status-v1`, DESIGN.md section 18):
-merged rollups equal to the per-worker sums, the pooled Wilson
-interval bracketing the pooled p_loss, and — given a second, later
-snapshot — per-worker counter monotonicity across scrapes (a worker
-whose attempt count grew is skipped: a respawn restarts its range, so
-its live counters legitimately reset).
 
 `metrics` validates a `/metrics` scrape (`FARM_HTTP`): Prometheus text
 exposition syntax (metric/label names, label escaping, HELP/TYPE
@@ -235,146 +226,6 @@ def check_status(path):
             fail(f"{path}: campaign {key} {doc[key]} != batch sum {want}")
     print(f"check_telemetry: {path}: seq {doc['seq']}, {len(batches)} "
           f"batch(es), totals consistent")
-
-
-FLEET_WORKER_KEYS = [
-    "worker", "pid", "range_lo", "range_hi", "alive", "done", "attempts",
-    "http_addr", "trials_done", "losses", "events", "trials_per_sec",
-]
-
-
-def _load_fleet(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            fail(f"{path}: invalid JSON: {e}")
-    if doc.get("schema") != "fleet-status-v1":
-        fail(f"{path}: schema {doc.get('schema')!r}, want 'fleet-status-v1'")
-    return doc
-
-
-def check_fleet(path, later=None):
-    """Validate a fleet-status-v1 snapshot (schema: DESIGN.md sec 18).
-
-    Checks the merged rollups against the per-worker rows (merged
-    trials == sum of worker trials, likewise losses/events), the
-    pooled Wilson interval bracketing the pooled p_loss, and — given a
-    second, later snapshot — per-worker counter monotonicity (skipped
-    for a worker whose attempt count grew: a respawned worker restarts
-    its range from scratch, so its live counters legitimately reset).
-    """
-    doc = _load_fleet(path)
-    for key in ("pid", "seq", "trials_total", "trials_done", "losses",
-                "events", "workers_total", "workers_up"):
-        if not isinstance(doc.get(key), int):
-            fail(f"{path}: {key} must be an integer, got {doc.get(key)!r}")
-    if not isinstance(doc.get("elapsed_secs"), (int, float)) or doc["elapsed_secs"] < 0:
-        fail(f"{path}: bad elapsed_secs {doc.get('elapsed_secs')!r}")
-    addr = doc.get("http_addr")
-    if addr is not None and not isinstance(addr, str):
-        fail(f"{path}: http_addr must be a string or null, got {addr!r}")
-    _num_or_null(doc, "trials_per_sec", path)
-    _num_or_null(doc, "eta_secs", path)
-
-    pooled = doc.get("pooled")
-    if not isinstance(pooled, dict):
-        fail(f"{path}: pooled must be an object")
-    for key in ("p_loss", "wilson95_lo", "wilson95_hi"):
-        if not isinstance(pooled.get(key), (int, float)):
-            fail(f"{path}: pooled.{key} must be a number, got {pooled.get(key)!r}")
-    p, lo, hi = pooled["p_loss"], pooled["wilson95_lo"], pooled["wilson95_hi"]
-    if not (0.0 <= lo <= p <= hi <= 1.0):
-        fail(f"{path}: pooled Wilson interval [{lo}, {hi}] does not bracket "
-             f"p_loss {p} inside [0, 1]")
-    done, losses = doc["trials_done"], doc["losses"]
-    want_p = 0 if done == 0 else min(losses, done) / done
-    if p != want_p:
-        fail(f"{path}: pooled p_loss {p} != losses/trials = {want_p}")
-
-    workers = doc.get("workers")
-    if not isinstance(workers, list):
-        fail(f"{path}: workers must be an array")
-    if len(workers) != doc["workers_total"]:
-        fail(f"{path}: workers_total {doc['workers_total']} != "
-             f"{len(workers)} worker rows")
-    sums = {"trials_done": 0, "losses": 0, "events": 0}
-    up = 0
-    for i, w in enumerate(workers):
-        where = f"{path}: workers[{i}]"
-        for key in FLEET_WORKER_KEYS:
-            if key not in w:
-                fail(f"{where}: missing key {key!r}")
-        if w["worker"] != i:
-            fail(f"{where}: worker index {w['worker']}, want {i}")
-        for key in ("range_lo", "range_hi", "attempts", "trials_done",
-                    "losses", "events"):
-            if not isinstance(w[key], int) or w[key] < 0:
-                fail(f"{where}: {key} must be a non-negative integer, "
-                     f"got {w[key]!r}")
-        for key in ("alive", "done"):
-            if not isinstance(w[key], bool):
-                fail(f"{where}: {key} must be a boolean")
-        if w["pid"] is not None and not isinstance(w["pid"], int):
-            fail(f"{where}: pid must be an integer or null")
-        if w["http_addr"] is not None and not isinstance(w["http_addr"], str):
-            fail(f"{where}: http_addr must be a string or null")
-        _num_or_null(w, "trials_per_sec", where)
-        span = w["range_hi"] - w["range_lo"]
-        if span < 0:
-            fail(f"{where}: range [{w['range_lo']}, {w['range_hi']}) inverted")
-        if not (w["losses"] <= w["trials_done"] <= span):
-            fail(f"{where}: want losses <= trials_done <= range span, got "
-                 f"{w['losses']}/{w['trials_done']}/{span}")
-        if w["done"]:
-            if w["alive"]:
-                fail(f"{where}: done worker still alive")
-            if w["trials_done"] != span:
-                fail(f"{where}: done but {w['trials_done']}/{span} trials")
-        up += w["alive"]
-        for key in sums:
-            sums[key] += w[key]
-    if up != doc["workers_up"]:
-        fail(f"{path}: workers_up {doc['workers_up']} != {up} alive rows")
-    for key, want in sums.items():
-        if doc[key] != want:
-            fail(f"{path}: merged {key} {doc[key]} != worker sum {want}")
-    print(f"check_telemetry: {path}: seq {doc['seq']}, "
-          f"{len(workers)} worker(s), merged totals == worker sums")
-
-    if later is None:
-        return
-    doc2 = _load_fleet(later)
-    if doc2["seq"] <= doc["seq"]:
-        fail(f"{later}: seq went backwards or stalled: "
-             f"{doc['seq']} -> {doc2['seq']}")
-    before = {w["worker"]: w for w in workers}
-    for w2 in doc2.get("workers", []):
-        w1 = before.get(w2["worker"])
-        if w1 is None:
-            continue
-        if w2["attempts"] < w1["attempts"]:
-            fail(f"{later}: workers[{w2['worker']}] attempts went backwards: "
-                 f"{w1['attempts']} -> {w2['attempts']}")
-        if w2["attempts"] > w1["attempts"]:
-            continue  # respawned: live counters legitimately reset
-        for key in ("trials_done", "losses", "events"):
-            if w2[key] < w1[key]:
-                fail(f"{later}: workers[{w2['worker']}] counter {key} went "
-                     f"backwards: {w1[key]} -> {w2[key]}")
-        if w1["done"] and not w2["done"]:
-            fail(f"{later}: workers[{w2['worker']}] un-finished itself")
-    print(f"check_telemetry: {later}: per-worker counters monotone vs {path}")
-
-
-CONVERGENCE_KEYS = [
-    "schema", "batch", "config", "checkpoint", "trials", "losses",
-    "p_loss", "wilson95_lo", "wilson95_hi", "ci_half_width",
-    "rel_half_width", "anchor_p_loss", "anchor_drift", "batch_var_ratio",
-    "first_loss_p50_secs", "first_loss_p99_secs", "loss_gap_p50_trials",
-    "final",
-]
-STOP_CHECK_EVERY = 64  # keep in sync with farm_obs::STOP_CHECK_EVERY
 
 
 def check_convergence(path, expect_stop=False):
@@ -693,13 +544,6 @@ def main(argv):
             print(__doc__.strip(), file=sys.stderr)
             return 2
         check_status(argv[1])
-        print("check_telemetry: OK")
-        return 0
-    if argv and argv[0] == "fleet":
-        if len(argv) not in (2, 3):
-            print(__doc__.strip(), file=sys.stderr)
-            return 2
-        check_fleet(argv[1], argv[2] if len(argv) == 3 else None)
         print("check_telemetry: OK")
         return 0
     if argv and argv[0] == "metrics":

@@ -7,6 +7,7 @@
 //! reproducible from the constants below; on failure the assert message
 //! carries the case index so it can be replayed in isolation.
 
+use farm_core::metrics::{McSummary, TrialMetrics};
 use farm_des::rng::{RngStream, SeedFactory};
 use farm_des::stats::Running;
 use farm_des::time::Duration;
@@ -385,6 +386,114 @@ fn running_merge_is_associative_enough() {
                 left.mean(),
                 whole.mean()
             );
+        }
+    }
+}
+
+// ----- Compact codecs ----------------------------------------------------
+
+/// A summary of up to a few random trials: losses, zero, tiny, huge and
+/// ordinary samples in every histogram, and counts in every accumulator.
+fn random_summary(rng: &mut RngStream) -> McSummary {
+    let mut s = McSummary::new();
+    for _ in 0..rng.below(4) {
+        let mut t = TrialMetrics::new();
+        if rng.below(3) == 0 {
+            t.record_loss(
+                1 + rng.below(1 << 40),
+                SimTime::from_hours(rng.uniform() * 5e4),
+            );
+        }
+        t.disk_failures = rng.below(5000);
+        t.rebuilds_completed = rng.below(1 << 20);
+        t.redirections = rng.below(3);
+        t.events_processed = rng.bits() >> rng.below(64);
+        t.no_targets = rng.below(2);
+        for _ in 0..rng.below(40) {
+            let v = match rng.below(5) {
+                0 => 0.0,
+                1 => rng.uniform() * 1e-6,
+                2 => rng.uniform() * 1e13,
+                _ => rng.uniform() * 1e5,
+            };
+            match rng.below(5) {
+                0 => t.record_vulnerability(v),
+                1 => t.queue_delay.record(v),
+                2 => t.detect_lag.record(v),
+                3 => t.transfer.record(v),
+                _ => t.fanout.record(v.floor()),
+            }
+        }
+        s.push(&t);
+    }
+    s
+}
+
+/// The `|`/`;`-separated fields of a record as `(start, end)` byte
+/// spans, each including its leading separator (the tag has none).
+fn field_spans(rec: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (i, b) in rec.bytes().enumerate() {
+        if b == b'|' || b == b';' {
+            spans.push((start, i));
+            start = i;
+        }
+    }
+    spans.push((start, rec.len()));
+    spans
+}
+
+/// Parse one candidate record: it must not panic, and a record it
+/// accepts must be exactly what the encoder writes for the result —
+/// whose quantiles must not panic either.
+fn check_mc1(candidate: &str, case: u64) {
+    if let Ok(x) = McSummary::from_compact(candidate) {
+        assert_eq!(
+            x.to_compact(),
+            candidate,
+            "case {case}: accepted a non-canonical record"
+        );
+        for h in [
+            &x.vulnerability,
+            &x.queue_delay,
+            &x.detect_lag,
+            &x.transfer,
+            &x.fanout,
+        ] {
+            let _ = (h.p50(), h.p99(), h.bucket_mean());
+        }
+    }
+}
+
+#[test]
+fn compact_codecs_accept_exactly_what_they_write() {
+    const PUNCT: &[u8] = b"|;=,:0123456789abcdefABCDEF+- xnr1ph";
+    for (i, mut rng) in cases(11, 24) {
+        let rec = random_summary(&mut rng).to_compact();
+        check_mc1(&rec, i);
+        assert!(
+            McSummary::from_compact(&rec).is_ok(),
+            "case {i}: own record rejected"
+        );
+        // Every byte-prefix truncation (what a killed writer leaves).
+        for end in 0..rec.len() {
+            check_mc1(&rec[..end], i);
+        }
+        // Each field, top-level or inside a component, dropped and
+        // duplicated in place.
+        for (a, b) in field_spans(&rec).into_iter().skip(1) {
+            check_mc1(&format!("{}{}", &rec[..a], &rec[b..]), i);
+            check_mc1(&format!("{}{}", &rec[..b], &rec[a..]), i);
+        }
+        // Random byte flips, one to three at a time.
+        for _ in 0..400 {
+            let mut bytes = rec.clone().into_bytes();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                bytes[at] = PUNCT[rng.below(PUNCT.len() as u64) as usize];
+            }
+            check_mc1(std::str::from_utf8(&bytes).unwrap(), i);
         }
     }
 }
