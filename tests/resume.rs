@@ -142,6 +142,37 @@ fn resume_runs_only_the_missing_chunks() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The real binary, uninterrupted from an empty directory at one and
+/// two threads, writes byte-identical summary files equal to the
+/// in-process run, and its final snapshot counts every trial once.
+#[test]
+fn fleet_binary_matches_the_in_process_run() {
+    let trials = 36;
+    let want = reference(trials, SCALE);
+    let mut summaries = Vec::new();
+    for threads in [1, 2] {
+        let dir = scratch(&format!("bin{threads}"));
+        let status = dir.join("status.json");
+        let out = fleet(trials, SCALE, threads, &dir)
+            .env("FARM_STATUS", format!("{}@0.05", status.display()))
+            .output()
+            .expect("spawn fleet");
+        assert!(out.status.success(), "fleet failed: {out:?}");
+        let summary = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
+        assert_eq!(summary.trim(), want, "threads={threads}");
+        let path = checkpoint_of(SEED, trials, SCALE, &dir);
+        assert_eq!(chunk_lines(&path) as u64, n_chunks(trials));
+
+        let doc = Json::parse(&std::fs::read_to_string(&status).unwrap()).unwrap();
+        let count = |key: &str| doc.get(key).and_then(|v| v.as_f64());
+        assert_eq!(count("trials_done"), Some(trials as f64));
+        assert_eq!(count("trials_total"), Some(trials as f64));
+        summaries.push(summary);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(summaries[0], summaries[1]);
+}
+
 /// (c) A bad middle line, a wrong fingerprint and a duplicate chunk are
 /// each an error naming the file, never a silently partial result.
 #[test]
