@@ -63,10 +63,32 @@ fn bench_candidate_walk(c: &mut Criterion) {
     });
 }
 
+fn bench_draw_hashes(c: &mut Criterion) {
+    // The raw multi-lane hash rate of each placement kernel, apart from
+    // the walk: one call draws 16 candidate hashes for each of `LANES`
+    // groups.
+    use farm_placement::kernel::{Kernel, LANES};
+    const N_IDX: usize = 16;
+    let gkeys: [u64; LANES] = std::array::from_fn(|l| 0x9E37_79B9u64.wrapping_mul(l as u64 + 1));
+    let mut out = vec![0u64; N_IDX * LANES];
+    let mut group = c.benchmark_group("placement/draw_hashes");
+    group.throughput(Throughput::Elements((N_IDX * LANES) as u64));
+    for k in Kernel::ALL {
+        if !k.supported() {
+            continue;
+        }
+        group.bench_function(k.name(), |b| {
+            b.iter(|| k.run(black_box(&gkeys), N_IDX, black_box(&mut out)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_rush_place,
     bench_rush_multi_cluster,
-    bench_candidate_walk
+    bench_candidate_walk,
+    bench_draw_hashes
 );
 criterion_main!(benches);

@@ -1,17 +1,13 @@
-//! A deliberately small JSON value type with a parser and printer.
-//!
-//! The benchmark report merges runs into `BENCH_PR1.json` across
-//! invocations ("before" vs "after" an optimization), which needs
-//! read-modify-write of a JSON document. The workspace's serde is an
-//! offline no-op stand-in, so this module carries the ~150 lines of
-//! recursive-descent JSON that the report actually needs. It supports
-//! the full JSON grammar except `\u` escapes beyond the BMP surrogate
-//! pairs it never emits.
+//! A deliberately small JSON parser, for the integration tests'
+//! assertions on the JSON the simulator writes (status snapshots,
+//! convergence records, span rows). The workspace's serde is an offline
+//! no-op stand-in, so this module carries the recursive-descent parser
+//! and the few accessors the tests need. It accepts the full JSON
+//! grammar except `\u` surrogate pairs (characters beyond the BMP).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// A JSON document node. Objects use a BTreeMap so output is stable.
+/// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
@@ -23,14 +19,6 @@ pub enum Json {
 }
 
 impl Json {
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    pub fn num(n: f64) -> Json {
-        Json::Num(n)
-    }
-
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
@@ -73,83 +61,6 @@ impl Json {
         }
         Ok(v)
     }
-
-    /// Pretty-print with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                // Integers print without a fraction; everything else with
-                // enough digits to round-trip.
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    item.write(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    out.push_str(&pad);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                    out.push_str(if i + 1 < map.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&close);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -335,22 +246,30 @@ mod tests {
 
     #[test]
     fn roundtrip_nested() {
-        let src = r#"{"runs":[{"label":"before","eps":12345.5,"ok":true},{"label":"after","eps":2.5e4,"note":null}]}"#;
+        let src = r#" {"runs":[{"label":"before","eps":12345.5,"ok":true},{"label":"after","eps":2.5e4,"note":null}],"empty":{},"none":[]} "#;
         let v = Json::parse(src).unwrap();
         let runs = v.get("runs").unwrap().as_arr().unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].get("label").unwrap().as_str(), Some("before"));
+        assert_eq!(runs[0].get("eps").unwrap().as_f64(), Some(12_345.5));
+        assert_eq!(runs[0].get("ok"), Some(&Json::Bool(true)));
         assert_eq!(runs[1].get("eps").unwrap().as_f64(), Some(25_000.0));
-        // pretty output re-parses to the same value
-        let again = Json::parse(&v.pretty()).unwrap();
-        assert_eq!(v, again);
+        assert_eq!(runs[1].get("note"), Some(&Json::Null));
+        assert_eq!(v.get("empty"), Some(&Json::Obj(BTreeMap::new())));
+        assert_eq!(v.get("none").unwrap().as_arr(), Some(&[][..]));
+        // Accessors of the wrong kind are `None`, never a coercion.
+        assert_eq!(runs[0].get("label").unwrap().as_f64(), None);
+        assert_eq!(v.get("runs").unwrap().get("label"), None);
     }
 
     #[test]
     fn strings_escape_and_unescape() {
-        let v = Json::str("a\"b\\c\nd\te");
-        let printed = v.pretty();
-        assert_eq!(Json::parse(printed.trim()).unwrap(), v);
+        let v = Json::parse(r#""a\"b\\c\nd\te\/fé\u0001 é""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\\c\nd\te/f\u{e9}\u{1} é"));
+        assert!(Json::parse(r#""\q""#).is_err());
+        assert!(Json::parse(r#""\u12""#).is_err());
+        assert!(Json::parse(r#""\ud800""#).is_err());
+        assert!(Json::parse(r#""open"#).is_err());
     }
 
     #[test]
@@ -359,19 +278,5 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn integers_print_without_fraction() {
-        let v = Json::Obj(
-            [
-                ("a".to_string(), Json::num(3.0)),
-                ("b".to_string(), Json::num(3.25)),
-            ]
-            .into(),
-        );
-        let s = v.pretty();
-        assert!(s.contains("\"a\": 3,"), "{s}");
-        assert!(s.contains("\"b\": 3.25"), "{s}");
     }
 }

@@ -1,4 +1,4 @@
-//! Shared helpers for FARM benchmarks (see benches/ and src/bin/).
+//! Shared helpers for FARM benchmarks (see benches/) and the
+//! integration tests.
 
 pub mod json;
-pub mod rss;

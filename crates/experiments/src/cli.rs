@@ -112,24 +112,15 @@ impl Options {
     /// name is skipped if present via [`Options::from_env`]).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
         let mut opts = Options::quick_default();
+        // The last mode flag wins; its scale and default trial count
+        // apply after the loop, so no other flag depends on its position.
+        let mut full = false;
         let mut explicit_trials = None;
-        let mut trace = None;
-        let mut timeline = None;
-        let mut status = None;
-        let mut convergence = None;
-        let mut target_rel_ci = None;
-        let mut spans = None;
-        let mut progress = None;
-        let mut profile = false;
         let mut it = args.into_iter().peekable();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--quick" => {
-                    opts = Options::quick_default();
-                }
-                "--full" => {
-                    opts = Options::full_default();
-                }
+                "--quick" => full = false,
+                "--full" => full = true,
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
                     explicit_trials = Some(v.parse::<u64>().map_err(|e| format!("--trials: {e}"))?);
@@ -160,7 +151,7 @@ impl Options {
                         }
                         _ => TraceSel::Trial(0),
                     };
-                    trace = Some(sel);
+                    opts.trace = Some(sel);
                 }
                 "--timeline" => {
                     // Optional `[path][@interval_secs]` spec; bare
@@ -172,7 +163,7 @@ impl Options {
                         }
                         _ => TimelineSpec::parse("").expect("empty spec is valid"),
                     };
-                    timeline = Some(spec);
+                    opts.timeline = Some(spec);
                 }
                 "--status" => {
                     // Optional `[path][@interval_secs]` spec; bare
@@ -184,7 +175,7 @@ impl Options {
                         }
                         _ => StatusSpec::parse("").expect("empty spec is valid"),
                     };
-                    status = Some(spec);
+                    opts.status = Some(spec);
                 }
                 "--convergence" => {
                     // Optional `[path][@base_trials]` spec; bare
@@ -196,7 +187,7 @@ impl Options {
                         }
                         _ => ConvergenceSpec::parse("").expect("empty spec is valid"),
                     };
-                    convergence = Some(spec);
+                    opts.convergence = Some(spec);
                 }
                 "--spans" => {
                     // Optional `[path][@fmt]` spec; bare `--spans`
@@ -208,7 +199,7 @@ impl Options {
                         }
                         _ => SpansSpec::parse("").expect("empty spec is valid"),
                     };
-                    spans = Some(spec);
+                    opts.spans = Some(spec);
                 }
                 "--target-rel-ci" => {
                     let v = it.next().ok_or("--target-rel-ci needs a value")?;
@@ -216,11 +207,11 @@ impl Options {
                     if !(eps > 0.0 && eps.is_finite()) {
                         return Err("--target-rel-ci must be a positive finite number".into());
                     }
-                    target_rel_ci = Some(eps);
+                    opts.target_rel_ci = Some(eps);
                 }
-                "--progress" => progress = Some(true),
-                "--no-progress" => progress = Some(false),
-                "--profile" => profile = true,
+                "--progress" => opts.progress = Some(true),
+                "--no-progress" => opts.progress = Some(false),
+                "--profile" => opts.profile = true,
                 "--help" | "-h" => {
                     return Err(
                         "options: [--quick|--full] [--trials N] [--seed S] [--threads T] \
@@ -233,20 +224,16 @@ impl Options {
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
+        if full {
+            let mode = Options::full_default();
+            (opts.scale, opts.trials, opts.quick) = (mode.scale, mode.trials, mode.quick);
+        }
         if let Some(t) = explicit_trials {
             if t == 0 {
                 return Err("--trials must be >= 1".into());
             }
             opts.trials = t;
         }
-        opts.trace = trace;
-        opts.timeline = timeline;
-        opts.status = status;
-        opts.convergence = convergence;
-        opts.target_rel_ci = target_rel_ci;
-        opts.spans = spans;
-        opts.progress = progress;
-        opts.profile = profile;
         Ok(opts)
     }
 
@@ -341,6 +328,20 @@ mod tests {
         assert_eq!(o.trials, 7);
         let o = parse(&["--full", "--trials", "7"]).unwrap();
         assert_eq!(o.trials, 7);
+    }
+
+    #[test]
+    fn seed_and_threads_survive_mode_switch() {
+        let o = parse(&["--seed", "7", "--quick"]).unwrap();
+        assert_eq!(o.seed, 7);
+        assert!(o.quick);
+        let o = parse(&["--threads", "2", "--full"]).unwrap();
+        assert_eq!(o.threads, 2);
+        assert!(!o.quick);
+        assert_eq!((o.scale, o.trials), (1.0, 100));
+        // The last mode flag wins.
+        let o = parse(&["--full", "--seed", "7", "--quick"]).unwrap();
+        assert_eq!((o.seed, o.scale, o.trials), (7, 0.125, 25));
     }
 
     #[test]

@@ -241,6 +241,18 @@ fn env_truthy(v: &str) -> bool {
     !matches!(v.trim(), "" | "0" | "false" | "off" | "no")
 }
 
+/// Split a trimmed `[path][@suffix]` spec (`--timeline`, `FARM_STATUS`,
+/// ...) at its first `@`. An empty or `"1"` path is `None`, meaning the
+/// caller's default; the caller parses the suffix.
+fn split_spec(s: &str) -> (Option<&str>, Option<&str>) {
+    let s = s.trim();
+    let (path, suffix) = match s.split_once('@') {
+        Some((p, x)) => (p, Some(x)),
+        None => (s, None),
+    };
+    (Some(path).filter(|p| !matches!(*p, "" | "1")), suffix)
+}
+
 static GLOBAL: OnceLock<ObsOptions> = OnceLock::new();
 
 /// Install process-wide observability options (e.g. from CLI flags).
@@ -269,13 +281,6 @@ pub fn campaign_monitor(obs: &ObsOptions) -> Option<&'static CampaignMonitor> {
         return None;
     }
     Some(MONITOR.get_or_init(|| CampaignMonitor::new(obs.status.clone(), obs.http.as_deref())))
-}
-
-/// The already-installed campaign monitor, if any batch has created one
-/// (test and debugging hook — e.g. to discover the bound `/metrics`
-/// port after `FARM_HTTP=127.0.0.1:0`).
-pub fn installed_monitor() -> Option<&'static CampaignMonitor> {
-    MONITOR.get()
 }
 
 #[cfg(test)]
@@ -308,6 +313,29 @@ mod tests {
         let mut o = ObsOptions::off();
         o.http = Some("127.0.0.1:0".into());
         assert!(o.monitor_requested());
+    }
+
+    #[test]
+    fn malformed_specs_are_errors_naming_the_bad_part() {
+        type Parse = fn(&str) -> Result<(), String>;
+        let parsers: [(&str, Parse); 4] = [
+            ("timeline", |s| TimelineSpec::parse(s).map(drop)),
+            ("status", |s| StatusSpec::parse(s).map(drop)),
+            ("convergence", |s| ConvergenceSpec::parse(s).map(drop)),
+            ("spans", |s| SpansSpec::parse(s).map(drop)),
+        ];
+        for spec in [
+            "@", "p@", "p@0", "p@-1", "p@nan", "p@inf", "p@1@2", "p@CHROME",
+        ] {
+            let bad = spec.split_once('@').unwrap().1;
+            for (name, parse) in parsers {
+                let err = parse(spec).expect_err(&format!("{name} accepted {spec:?}"));
+                assert!(
+                    err.contains(&format!("{bad:?}")),
+                    "{name} {spec:?}: {err:?} does not name {bad:?}"
+                );
+            }
+        }
     }
 
     #[test]

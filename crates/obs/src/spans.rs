@@ -75,30 +75,24 @@ impl SpansSpec {
     /// * `"trace.json@chrome"` — Chrome trace-event export,
     /// * `"@chrome"` — default chrome path (`farm-spans.json`).
     pub fn parse(s: &str) -> Result<SpansSpec, String> {
-        let s = s.trim();
-        let (path, format) = match s.split_once('@') {
-            Some((p, f)) => {
-                let fmt = match f {
-                    "jsonl" => SpanFormat::Jsonl,
-                    "chrome" => SpanFormat::Chrome,
-                    other => {
-                        return Err(format!(
-                            "span format {other:?} (want \"jsonl\" or \"chrome\")"
-                        ))
-                    }
-                };
-                (p, fmt)
+        let (path, format) = crate::split_spec(s);
+        let format = match format {
+            None | Some("jsonl") => SpanFormat::Jsonl,
+            Some("chrome") => SpanFormat::Chrome,
+            Some(other) => {
+                return Err(format!(
+                    "span format {other:?} (want \"jsonl\" or \"chrome\")"
+                ))
             }
-            None => (s, SpanFormat::Jsonl),
         };
-        let path = match path {
-            "" | "1" => match format {
-                SpanFormat::Jsonl => DEFAULT_SPANS_PATH.to_string(),
-                SpanFormat::Chrome => DEFAULT_CHROME_PATH.to_string(),
-            },
-            p => p.to_string(),
-        };
-        Ok(SpansSpec { path, format })
+        let path = path.unwrap_or(match format {
+            SpanFormat::Jsonl => DEFAULT_SPANS_PATH,
+            SpanFormat::Chrome => DEFAULT_CHROME_PATH,
+        });
+        Ok(SpansSpec {
+            path: path.to_string(),
+            format,
+        })
     }
 }
 

@@ -61,26 +61,22 @@ impl StatusSpec {
     /// * `"run.json@5"` — rewritten every 5 s,
     /// * `"@0.2"` — default path, 5 snapshots per second.
     pub fn parse(s: &str) -> Result<StatusSpec, String> {
-        let s = s.trim();
-        let (path, interval) = match s.split_once('@') {
-            Some((p, i)) => {
+        let (path, interval) = crate::split_spec(s);
+        let interval_secs = match interval {
+            Some(i) => {
                 let secs = i
                     .parse::<f64>()
                     .map_err(|e| format!("interval {i:?}: {e}"))?;
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err(format!("interval must be positive, got {i:?}"));
                 }
-                (p, Some(secs))
+                Some(secs)
             }
-            None => (s, None),
-        };
-        let path = match path {
-            "" | "1" => DEFAULT_STATUS_PATH.to_string(),
-            p => p.to_string(),
+            None => None,
         };
         Ok(StatusSpec {
-            path,
-            interval_secs: interval,
+            path: path.unwrap_or(DEFAULT_STATUS_PATH).to_string(),
+            interval_secs,
         })
     }
 

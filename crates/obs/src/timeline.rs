@@ -59,26 +59,22 @@ impl TimelineSpec {
     /// * `"out.csv@604800"` — sample every 604800 simulated seconds,
     /// * `"@3600"` — default path, hourly samples.
     pub fn parse(s: &str) -> Result<TimelineSpec, String> {
-        let s = s.trim();
-        let (path, interval) = match s.split_once('@') {
-            Some((p, i)) => {
+        let (path, interval) = crate::split_spec(s);
+        let interval_secs = match interval {
+            Some(i) => {
                 let secs = i
                     .parse::<f64>()
                     .map_err(|e| format!("interval {i:?}: {e}"))?;
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err(format!("interval must be positive, got {i:?}"));
                 }
-                (p, Some(secs))
+                Some(secs)
             }
-            None => (s, None),
-        };
-        let path = match path {
-            "" | "1" => DEFAULT_TIMELINE_PATH.to_string(),
-            p => p.to_string(),
+            None => None,
         };
         Ok(TimelineSpec {
-            path,
-            interval_secs: interval,
+            path: path.unwrap_or(DEFAULT_TIMELINE_PATH).to_string(),
+            interval_secs,
         })
     }
 

@@ -14,7 +14,8 @@ use farm_experiments::cli::Options;
 use farm_experiments::fleet::fleet_config;
 use farm_obs::ObsOptions;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration as StdDuration, Instant};
 
 const SEED: u64 = 7;
@@ -42,9 +43,20 @@ fn reference(trials: u64, scale: f64) -> String {
     summary.to_compact()
 }
 
+/// Held around every in-process checkpointed run and every child spawn
+/// in this test binary. A child forked while a checkpoint is open holds
+/// a copy of its locked descriptor until it execs, so a rerun of that
+/// campaign in the window would read the lock as another process's.
+static SPAWN_LOCK: Mutex<()> = Mutex::new(());
+
+fn spawn_lock() -> MutexGuard<'static, ()> {
+    SPAWN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn checkpointed(seed: u64, trials: u64, threads: usize, dir: &Path) -> std::io::Result<McSummary> {
     let cfg = fleet_config(&opts(trials, SCALE));
     let off = ObsOptions::off();
+    let _held = spawn_lock();
     run_trials_checkpointed(&cfg, seed, trials, TrialMode::UntilLoss, threads, &off, dir)
 }
 
@@ -78,6 +90,17 @@ fn fleet(trials: u64, scale: f64, threads: usize, dir: &Path) -> Command {
         .env_remove("FARM_HTTP")
         .env_remove("FARM_FLEET");
     cmd
+}
+
+fn spawn(cmd: &mut Command) -> Child {
+    let _held = spawn_lock();
+    cmd.spawn().expect("spawn fleet")
+}
+
+fn output(cmd: &mut Command) -> Output {
+    spawn(cmd.stdout(Stdio::piped()).stderr(Stdio::piped()))
+        .wait_with_output()
+        .expect("wait for fleet")
 }
 
 /// (a) From an empty directory, at one and two threads, the result is
@@ -119,10 +142,9 @@ fn resume_runs_only_the_missing_chunks() {
     std::fs::write(&path, format!("{kept}{}", &torn[..torn.len() / 2])).unwrap();
 
     let status = dir.join("status.json");
-    let out = fleet(trials, SCALE, 2, &dir)
-        .env("FARM_STATUS", format!("{}@0.05", status.display()))
-        .output()
-        .expect("spawn fleet");
+    let out = output(
+        fleet(trials, SCALE, 2, &dir).env("FARM_STATUS", format!("{}@0.05", status.display())),
+    );
     assert!(out.status.success(), "fleet failed: {out:?}");
     let summary = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
     assert_eq!(summary.trim(), reference(trials, SCALE));
@@ -153,10 +175,10 @@ fn fleet_binary_matches_the_in_process_run() {
     for threads in [1, 2] {
         let dir = scratch(&format!("bin{threads}"));
         let status = dir.join("status.json");
-        let out = fleet(trials, SCALE, threads, &dir)
-            .env("FARM_STATUS", format!("{}@0.05", status.display()))
-            .output()
-            .expect("spawn fleet");
+        let out = output(
+            fleet(trials, SCALE, threads, &dir)
+                .env("FARM_STATUS", format!("{}@0.05", status.display())),
+        );
         assert!(out.status.success(), "fleet failed: {out:?}");
         let summary = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
         assert_eq!(summary.trim(), want, "threads={threads}");
@@ -238,7 +260,7 @@ fn killed_campaign_resumes_to_the_same_bytes() {
     let (trials, scale) = (1200, 1.0);
     let dir = scratch("killed");
     let path = checkpoint_of(SEED, trials, scale, &dir);
-    let mut child = fleet(trials, scale, 1, &dir).spawn().expect("spawn fleet");
+    let mut child = spawn(&mut fleet(trials, scale, 1, &dir));
     let deadline = Instant::now() + StdDuration::from_secs(120);
     while chunk_lines(&path) == 0 {
         assert!(Instant::now() < deadline, "no chunk line within 120 s");
@@ -255,7 +277,7 @@ fn killed_campaign_resumes_to_the_same_bytes() {
     );
     assert!(!dir.join("fleet-summary.txt").exists());
 
-    let out = fleet(trials, scale, 2, &dir).output().expect("spawn fleet");
+    let out = output(&mut fleet(trials, scale, 2, &dir));
     assert!(out.status.success(), "resumed fleet failed: {out:?}");
     let summary = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
     assert_eq!(summary.trim(), reference(trials, scale));
