@@ -6,7 +6,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use farm_core::prelude::*;
 use farm_core::Simulation;
-use farm_obs::{ConvergenceSpec, ObsOptions, SpanFormat, SpansSpec, StatusSpec, TimelineSpec};
+use farm_obs::{
+    ConvergenceSpec, ObsOptions, SpanFormat, SpansSpec, StatusSpec, TimelineSpec, TraceSel,
+    TraceSpec,
+};
 use std::hint::black_box;
 
 fn cfg(total: u64, group: u64, recovery: RecoveryPolicy) -> SystemConfig {
@@ -120,6 +123,8 @@ fn bench_recorders(c: &mut Criterion) {
         "spans.jsonl",
         "convergence.jsonl",
         "status.json",
+        "postmortem-only.jsonl",
+        "loss-trace.jsonl",
     ]
     .map(tmp);
     let variants = [
@@ -128,6 +133,23 @@ fn bench_recorders(c: &mut Criterion) {
             "profile",
             ObsOptions {
                 profile: true,
+                ..ObsOptions::off()
+            },
+        ),
+        (
+            "postmortem",
+            ObsOptions {
+                postmortem: Some(paths[6].clone()),
+                ..ObsOptions::off()
+            },
+        ),
+        (
+            "trace_loss",
+            ObsOptions {
+                trace: Some(TraceSpec {
+                    sel: TraceSel::Loss,
+                    path: Some(paths[7].clone()),
+                }),
                 ..ObsOptions::off()
             },
         ),

@@ -720,12 +720,19 @@ pub fn run_trials_checkpointed(
         .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))
 }
 
+/// How long [`open_checkpoint`] waits for a locked checkpoint before
+/// failing. A child process forked while a checkpoint is open holds a
+/// copy of its lock until it execs, which takes milliseconds; a second
+/// run of the campaign holds it for the whole run.
+const LOCK_WAIT: std::time::Duration = std::time::Duration::from_secs(1);
+
 /// Open (or create) a campaign checkpoint: the chunks it holds, the
 /// chunks it is missing, and the log that appends to it. A new file is
 /// created whole, header and fingerprint, by writing a temporary file
 /// and renaming it, so a kill never leaves a torn header. The file is
 /// locked for the life of the run, so a second process on the same
-/// campaign fails instead of appending duplicate chunks.
+/// campaign fails, after waiting up to [`LOCK_WAIT`] for the lock,
+/// instead of appending duplicate chunks.
 fn open_checkpoint(
     path: &Path,
     fingerprint: u64,
@@ -744,7 +751,16 @@ fn open_checkpoint(
         opened => opened,
     }
     .map_err(named)?;
-    file.try_lock().map_err(|e| match e {
+    let deadline = Instant::now() + LOCK_WAIT;
+    let locked = loop {
+        match file.try_lock() {
+            Err(TryLockError::WouldBlock) if Instant::now() < deadline => {
+                std::thread::sleep(LOCK_WAIT / 100);
+            }
+            locked => break locked,
+        }
+    };
+    locked.map_err(|e| match e {
         TryLockError::WouldBlock => io::Error::new(
             io::ErrorKind::WouldBlock,
             format!(
@@ -853,9 +869,10 @@ fn open_or_warn(path: &str, key: &str, what: &str) -> Option<(std::fs::File, boo
 }
 
 /// Write the batch's telemetry artifacts: timeline bands, post-mortem
-/// JSONL, recovery spans, buffered traces of losing trials. Artifacts
-/// are sorted by trial index first, so the files are bit-identical
-/// regardless of how the trials were scheduled across worker threads.
+/// JSONL, recovery spans, the trace of the sampled trial or of every
+/// losing trial. Artifacts are sorted by trial index first, so the
+/// files are bit-identical regardless of how the trials were scheduled
+/// across worker threads.
 fn emit_artifacts(obs: &ObsOptions, cfg: &SystemConfig, mut artifacts: Vec<(u64, TrialArtifacts)>) {
     artifacts.sort_by_key(|&(t, _)| t);
     if let Some(spec) = &obs.timeline {
@@ -916,22 +933,26 @@ fn emit_artifacts(obs: &ObsOptions, cfg: &SystemConfig, mut artifacts: Vec<(u64,
         }
     }
     if let Some(spec) = &obs.trace {
-        if spec.sel == TraceSel::Loss {
-            let traces = artifacts
-                .iter()
-                .filter_map(|(_, a)| a.loss_trace.as_deref());
+        let mut traces = artifacts
+            .iter()
+            .filter_map(|(_, a)| a.trace.as_deref())
+            .peekable();
+        // A loss-trace sink is opened even when no trial lost data (the
+        // first batch truncates stale output); a trial-N sink only when
+        // trial N committed.
+        if spec.sel == TraceSel::Loss || traces.peek().is_some() {
             match &spec.path {
                 Some(p) => {
                     if let Some((mut f, _, _)) = open_or_warn(p, "trace-open", "trace sink") {
                         for tr in traces {
-                            let _ = f.write_all(tr);
+                            let _ = f.write_all(tr.as_bytes());
                         }
                     }
                 }
                 None => {
                     let mut err = std::io::stderr().lock();
                     for tr in traces {
-                        let _ = err.write_all(tr);
+                        let _ = err.write_all(tr.as_bytes());
                     }
                 }
             }
@@ -1203,12 +1224,34 @@ mod tests {
         let path = dir.join("checkpoint.txt");
         let (_, missing, held) = open_checkpoint(&path, 1, 16).unwrap();
         assert_eq!(missing.len(), 2);
+        let t0 = Instant::now();
         let err = open_checkpoint(&path, 1, 16)
             .err()
             .expect("checkpoint is locked");
-        assert!(err.to_string().contains("another process"), "{err}");
+        assert!(t0.elapsed() >= LOCK_WAIT, "gave up before the wait");
+        let msg = err.to_string();
+        assert!(msg.contains("another process"), "{msg}");
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
         drop(held);
         assert!(open_checkpoint(&path, 1, 16).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lock_released_within_the_wait_lets_the_run_proceed() {
+        // A lock held briefly, as by a child forked while the checkpoint
+        // was open, is waited out.
+        let dir = scratch("briefly-locked");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.txt");
+        let (_, _, held) = open_checkpoint(&path, 1, 16).unwrap();
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            drop(held);
+        });
+        let (_, missing, _) = open_checkpoint(&path, 1, 16).expect("lock waited out");
+        assert_eq!(missing.len(), 2);
+        release.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

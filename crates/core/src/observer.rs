@@ -4,13 +4,15 @@
 //! A [`Simulation`](crate::Simulation) holds at most one boxed
 //! [`TrialObserver`]. With none attached (the default) each transition
 //! costs one null test; with one attached, each transition is one call
-//! that fans out to whichever recorders the observer carries — the
-//! event-loop profile, the JSONL tracer, the cluster-state timeline
-//! with its live gauges, the flight recorder and the span recorder.
-//! The hooks mirror the recovery lifecycle of §2.3 / Figure 2: a disk
-//! fails, each of its blocks goes missing or is redirected, Δ later
-//! detection schedules rebuilds, a rebuild completes, and a group may
-//! drop below `m`.
+//! that updates the timeline's live gauges (where it moves one) and
+//! pushes one record onto the trial's recovery log
+//! ([`farm_obs::TrialLog`]), when a trace, post-mortems or spans asked
+//! for one. The hooks mirror the recovery lifecycle of §2.3 / Figure 2:
+//! a disk fails, each of its blocks goes missing or is redirected, Δ
+//! later detection schedules rebuilds, a rebuild completes, and a group
+//! may drop below `m`. At trial end [`TrialObserver`] renders the log
+//! once into the outputs the run selected: the JSONL trace, the
+//! post-mortems and the spans.
 //!
 //! Call sites compute a hook's arguments inside the null test, so with
 //! no observer attached nothing is looked up, formatted or allocated.
@@ -23,10 +25,9 @@ use crate::sim::Event;
 use crate::PreparedConfig;
 use farm_des::time::SimTime;
 use farm_disk::model::Disk;
-use farm_obs::flight::{kind as flight_kind, NO_DISK};
+use farm_obs::trial_log::{kind, Transition, NO_DISK};
 use farm_obs::{
-    diag, EventProfile, FlightRecorder, ObsOptions, SpanRecorder, TimelineRecorder, TraceSel,
-    TrialSpans, TrialTracer, N_GAUGES,
+    EventProfile, ObsOptions, TimelineRecorder, TraceSel, TrialLog, TrialSpans, N_GAUGES,
 };
 use farm_placement::DiskId;
 use std::cmp::Reverse;
@@ -42,25 +43,14 @@ pub(crate) enum LossCause {
     LatentReadError,
 }
 
-impl LossCause {
-    /// The cause as post-mortems spell it.
-    fn name(self) -> &'static str {
-        match self {
-            LossCause::DiskFailure => "disk_failure",
-            LossCause::LatentReadError => "latent_read_error",
-        }
-    }
-}
-
 /// Per-trial telemetry an observer leaves behind: the trial's timeline
-/// rows, any post-mortems its flight recorder emitted, (in
-/// `FARM_TRACE=loss` mode) the buffered trace of a losing trial, and
-/// its recovery spans.
+/// rows, its post-mortems, its JSONL trace (the sampled trial, or a
+/// losing one in `FARM_TRACE=loss` mode) and its recovery spans.
 #[derive(Default)]
 pub struct TrialArtifacts {
     pub timeline: Option<TimelineRecorder>,
     pub postmortems: Vec<String>,
-    pub loss_trace: Option<Vec<u8>>,
+    pub trace: Option<String>,
     pub spans: Option<TrialSpans>,
 }
 
@@ -70,7 +60,7 @@ impl TrialArtifacts {
     pub(crate) fn is_empty(&self) -> bool {
         self.timeline.is_none()
             && self.postmortems.is_empty()
-            && self.loss_trace.is_none()
+            && self.trace.is_none()
             && self.spans.is_none()
     }
 }
@@ -82,10 +72,23 @@ impl TrialArtifacts {
 #[derive(Default)]
 pub struct TrialObserver {
     profile: Option<EventProfile>,
-    tracer: Option<TrialTracer>,
     timeline: Option<Timeline>,
-    flight: Option<FlightRecorder>,
-    spans: Option<SpanRecorder>,
+    /// The recovery log, when some output renders it.
+    log: Option<TrialLog>,
+    /// What `finish` renders from the log.
+    renders: Renders,
+}
+
+/// The outputs one trial's recovery log is rendered into.
+#[derive(Default)]
+struct Renders {
+    trial: u64,
+    /// Trace this trial: always (`Trial`, it is the sampled one), or
+    /// only if it lost data (`Loss`).
+    trace: Option<TraceSel>,
+    postmortems: bool,
+    spans: bool,
+    block_bytes: u64,
 }
 
 /// The timeline recorder and the running aggregates its rows read.
@@ -215,40 +218,28 @@ impl TrialObserver {
     /// The observer `obs` asks for on trial `trial`, or `None` when it
     /// asks for nothing per-trial (the trial then runs the plain loop).
     pub fn for_trial(obs: &ObsOptions, cfg: &PreparedConfig, trial: u64) -> Option<Self> {
-        let tracer = obs.trace.as_ref().and_then(|spec| match spec.sel {
-            TraceSel::Trial(sampled) if sampled == trial => TrialTracer::open(spec, trial)
-                .map_err(|e| {
-                    diag::warn_once(
-                        "trace-open",
-                        &format!("cannot open trace sink {:?}: {e}", spec.path),
-                    );
-                })
-                .ok(),
-            TraceSel::Trial(_) => None,
-            // Loss mode: trace every trial into memory; the batch
-            // driver keeps only the trials that lost data.
-            TraceSel::Loss => Some(TrialTracer::buffered(trial)),
-        });
+        let sel = obs.trace.as_ref().map(|spec| spec.sel);
+        let renders = Renders {
+            trial,
+            // Loss mode logs every trial; `finish` renders only the
+            // trials that lost data.
+            trace: sel.filter(|&s| s == TraceSel::Loss || s == TraceSel::Trial(trial)),
+            postmortems: obs.postmortem.is_some(),
+            spans: obs.spans.is_some(),
+            block_bytes: cfg.block_bytes,
+        };
+        let logged = renders.trace.is_some() || renders.postmortems || renders.spans;
         let duration = cfg.sim_duration.as_secs();
         let o = TrialObserver {
             profile: obs.profile.then(|| EventProfile::new(Event::KIND_LABELS)),
-            tracer,
             timeline: obs.timeline.as_ref().map(|spec| Timeline {
                 rec: TimelineRecorder::new(spec.resolve_interval(duration), duration),
                 gauges: LiveGauges::default(),
             }),
-            flight: obs
-                .postmortem
-                .as_ref()
-                .map(|_| FlightRecorder::new(trial, cfg.n_groups as usize)),
-            spans: obs.spans.as_ref().map(|_| SpanRecorder::new()),
+            log: logged.then(TrialLog::default),
+            renders,
         };
-        let any = o.profile.is_some()
-            || o.tracer.is_some()
-            || o.timeline.is_some()
-            || o.flight.is_some()
-            || o.spans.is_some();
-        any.then_some(o)
+        (o.profile.is_some() || o.timeline.is_some() || o.log.is_some()).then_some(o)
     }
 
     pub(crate) fn enable_profiling(&mut self) {
@@ -312,16 +303,19 @@ impl TrialObserver {
         }
     }
 
-    fn trace(&mut self, now: SimTime, ev: &str, extra: std::fmt::Arguments<'_>) {
-        if let Some(t) = &mut self.tracer {
-            t.emit(now.as_secs(), ev, extra);
-        }
-    }
-
-    fn flight(&mut self, now: SimTime, group: u32, kind: u8, disk: u32, idx: u8) {
-        if let Some(f) = &mut self.flight {
-            f.record(group, now.as_secs(), kind, disk, idx);
-        }
+    /// Push a transition involving `disk` onto the log, of block `b` or,
+    /// with none, of the whole disk.
+    fn push(
+        &mut self,
+        now: SimTime,
+        kind: u8,
+        b: Option<BlockRef>,
+        disk: u32,
+    ) -> Option<&mut Transition> {
+        let log = self.log.as_mut()?;
+        let (group, block, idx) =
+            b.map_or((NO_DISK, NO_DISK, 0), |b| (b.group(), b.raw(), b.idx()));
+        Some(log.push(now.as_secs(), kind, group, block, idx, disk))
     }
 
     /// A drive joined with `free` of its `capacity` bytes free.
@@ -352,7 +346,7 @@ impl TrialObserver {
             g.pipe_busy[di] = false;
             g.busy_pipes -= was_busy as u64;
         }
-        self.trace(now, "failure", format_args!(",\"disk\":{}", d.0));
+        self.push(now, kind::DISK_FAILED, None, d.0);
     }
 
     /// Block `b` of a live group went missing on disk `d`; `missing` is
@@ -366,10 +360,7 @@ impl TrialObserver {
             // so fold it into the add.
             tl.gauges.vulnerable_groups += (missing == 1) as u64;
         }
-        self.flight(now, b.group(), flight_kind::FAILURE, d.0, b.idx());
-        if let Some(s) = &mut self.spans {
-            s.on_fail(b.group(), b.raw(), d.0, now.as_secs());
-        }
+        self.push(now, kind::BLOCK_FAILED, Some(b), d.0);
     }
 
     /// The failure of `d` invalidated `b`'s in-flight rebuild (recovery
@@ -377,20 +368,12 @@ impl TrialObserver {
     #[cold]
     #[inline(never)]
     pub(crate) fn redirect(&mut self, now: SimTime, b: BlockRef, d: DiskId) {
-        self.flight(now, b.group(), flight_kind::REDIRECT, d.0, b.idx());
-        if let Some(s) = &mut self.spans {
-            s.on_redirect(b.raw(), now.as_secs());
-        }
-        self.trace(
-            now,
-            "redirect",
-            format_args!(",\"group\":{},\"idx\":{}", b.group(), b.idx()),
-        );
+        self.push(now, kind::REDIRECT, Some(b), d.0);
     }
 
     /// `group` dropped below `m` and was marked dead with `missing`
-    /// blocks unavailable. The fatal event is already in the flight
-    /// ring, so the post-mortem chain ends with it.
+    /// blocks unavailable. The fatal event is already in the log, so
+    /// the post-mortem chain ends with it.
     #[cold]
     #[inline(never)]
     pub(crate) fn group_lost(&mut self, now: SimTime, group: u32, missing: u8, cause: LossCause) {
@@ -400,58 +383,43 @@ impl TrialObserver {
             tl.gauges.rebuilds_in_flight -= missing as u64;
             tl.gauges.vulnerable_groups -= 1;
         }
-        let t = now.as_secs();
-        let latent = cause == LossCause::LatentReadError;
-        let cp = self
-            .spans
-            .as_mut()
-            .and_then(|s| s.on_group_loss(group, t, latent));
-        if let Some(f) = &mut self.flight {
-            f.postmortem(group, t, cause.name(), cp.as_ref());
+        if let Some(log) = &mut self.log {
+            let k = match cause {
+                LossCause::DiskFailure => kind::LOSS_DISK,
+                LossCause::LatentReadError => kind::LOSS_LATENT,
+            };
+            log.push(now.as_secs(), k, group, NO_DISK, 0, NO_DISK);
         }
-        self.trace(now, "loss", format_args!(",\"group\":{group}"));
     }
 
     /// Detection of `d`'s failure launches `rebuilds` rebuilds.
     #[cold]
     #[inline(never)]
     pub(crate) fn detect(&mut self, now: SimTime, d: DiskId, rebuilds: usize) {
-        self.trace(
-            now,
-            "detect",
-            format_args!(",\"disk\":{},\"rebuilds\":{rebuilds}", d.0),
-        );
+        if let Some(r) = self.push(now, kind::DETECT, None, d.0) {
+            r.a = rebuilds as f64;
+        }
     }
 
     /// No eligible recovery target exists for `b`.
     #[cold]
     #[inline(never)]
     pub(crate) fn no_target(&mut self, now: SimTime, b: BlockRef) {
-        self.flight(now, b.group(), flight_kind::NO_TARGET, NO_DISK, b.idx());
-        if let Some(s) = &mut self.spans {
-            s.on_no_target(b.raw(), now.as_secs());
-        }
-        self.trace(
-            now,
-            "no_target",
-            format_args!(",\"group\":{},\"idx\":{}", b.group(), b.idx()),
-        );
+        self.push(now, kind::NO_TARGET, Some(b), NO_DISK);
     }
 
     /// Reading `b`'s rebuild source `source` tripped a latent error.
     #[cold]
     #[inline(never)]
     pub(crate) fn latent_trip(&mut self, now: SimTime, b: BlockRef, source: DiskId) {
-        self.flight(now, b.group(), flight_kind::LATENT, source.0, b.idx());
+        self.push(now, kind::LATENT, Some(b), source.0);
     }
 
-    /// A rebuild of `b` onto `target` was scheduled: after a `wait`
+    /// A rebuild of `b` onto `target` was scheduled: after a wait
     /// behind busy pipes it starts at `start` and transfers for
-    /// `duration` seconds, reading one `block_bytes` block from each of
-    /// `sources`.
+    /// `duration` seconds, reading one block from each of `sources`.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild_scheduled(
         &mut self,
         now: SimTime,
@@ -460,30 +428,10 @@ impl TrialObserver {
         start: SimTime,
         duration: f64,
         sources: &[DiskId],
-        block_bytes: u64,
     ) {
-        self.flight(
-            now,
-            b.group(),
-            flight_kind::REBUILD_START,
-            target.0,
-            b.idx(),
-        );
-        let wait = (start - now).as_secs();
-        self.trace(
-            now,
-            "rebuild_start",
-            format_args!(
-                ",\"group\":{},\"idx\":{},\"target\":{},\"wait\":{wait:.3}",
-                b.group(),
-                b.idx(),
-                target.0
-            ),
-        );
-        if let Some(s) = &mut self.spans {
-            let ids: Vec<u32> = sources.iter().map(|d| d.0).collect();
-            let (t, start) = (now.as_secs(), start.as_secs());
-            s.on_schedule(b.raw(), t, start, duration, target.0, &ids, block_bytes);
+        if let Some(log) = &mut self.log {
+            let (t, s, srcs) = (now.as_secs(), start.as_secs(), sources.iter().map(|d| d.0));
+            log.rebuild_start(t, b.group(), b.raw(), b.idx(), target.0, s, duration, srcs);
         }
     }
 
@@ -492,7 +440,6 @@ impl TrialObserver {
     /// it closed, if one was open.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild_done(
         &mut self,
         now: SimTime,
@@ -500,27 +447,14 @@ impl TrialObserver {
         home: DiskId,
         remaining: u8,
         window: Option<f64>,
-        block_bytes: u64,
     ) {
         if let Some(tl) = &mut self.timeline {
             tl.gauges.rebuilds_in_flight -= 1;
             // Branchless mirror of `block_failed`.
             tl.gauges.vulnerable_groups -= (remaining == 0) as u64;
         }
-        if let Some(s) = &mut self.spans {
-            s.on_done(b.raw(), now.as_secs(), block_bytes);
-        }
-        self.flight(now, b.group(), flight_kind::REBUILD_DONE, home.0, b.idx());
-        if let Some(window) = window {
-            self.trace(
-                now,
-                "rebuild_done",
-                format_args!(
-                    ",\"group\":{},\"idx\":{},\"window\":{window:.3}",
-                    b.group(),
-                    b.idx()
-                ),
-            );
+        if let Some(r) = self.push(now, kind::REBUILD_DONE, Some(b), home.0) {
+            r.a = window.unwrap_or(f64::NAN);
         }
     }
 
@@ -568,36 +502,44 @@ impl TrialObserver {
         }
     }
 
-    /// End of trial at `now`: write the tracer's `trial_end` record and
-    /// harvest every recorder.
+    /// End of trial at `now`: render the recovery log into the selected
+    /// outputs and harvest the timeline.
     pub(crate) fn finish(
         self,
         now: SimTime,
         m: &TrialMetrics,
     ) -> (TrialArtifacts, Option<EventProfile>) {
         let t = now.as_secs();
-        let mut a = TrialArtifacts::default();
-        if let Some(mut tr) = self.tracer {
-            tr.emit(
-                t,
-                "trial_end",
-                format_args!(
-                    ",\"failures\":{},\"rebuilds\":{},\"redirections\":{},\"lost_groups\":{}",
-                    m.disk_failures, m.rebuilds_completed, m.redirections, m.lost_groups
-                ),
-            );
-            tr.flush();
-            if m.lost_data() {
-                a.loss_trace = tr.take_buffer();
+        let mut a = TrialArtifacts {
+            timeline: self.timeline.map(|tl| tl.rec),
+            ..TrialArtifacts::default()
+        };
+        if let Some(log) = &self.log {
+            let r = &self.renders;
+            // Spans first: their replay yields each loss's critical path.
+            let mut paths = None;
+            if r.spans {
+                let (spans, p) = log.spans(t, r.block_bytes);
+                a.spans = Some(spans);
+                paths = Some(p);
             }
-        }
-        a.timeline = self.timeline.map(|tl| tl.rec);
-        if let Some(f) = self.flight {
-            a.postmortems = f.take_postmortems();
-        }
-        if let Some(mut s) = self.spans {
-            s.finalize(t);
-            a.spans = Some(s.take());
+            if r.postmortems {
+                a.postmortems = log.render_postmortems(r.trial, paths.as_deref());
+            }
+            let traced = match r.trace {
+                Some(TraceSel::Trial(_)) => true,
+                Some(TraceSel::Loss) => m.lost_data(),
+                None => false,
+            };
+            if traced {
+                let counts = [
+                    m.disk_failures,
+                    m.rebuilds_completed,
+                    m.redirections,
+                    m.lost_groups,
+                ];
+                a.trace = Some(log.render_trace(r.trial, t, counts));
+            }
         }
         (a, self.profile)
     }

@@ -236,7 +236,7 @@ impl Simulation {
         self.metrics_mut().transfer.record(duration.as_secs());
         if let Some(o) = self.obs.as_deref_mut() {
             let secs = duration.as_secs();
-            o.rebuild_scheduled(now, b, target, start, secs, &sources, block_bytes);
+            o.rebuild_scheduled(now, b, target, start, secs, &sources);
         }
         if self.config().model_contention {
             self.set_recovery_busy(target, done);

@@ -163,8 +163,8 @@ impl Simulation {
     /// by the fresh-vs-recycled golden tests in
     /// `tests/workspace_identity.rs`.
     ///
-    /// The observer must be detached before recycling; its recorders
-    /// carry per-trial state that must not leak across trials.
+    /// The observer must be detached before recycling; its log and
+    /// gauges carry per-trial state that must not leak across trials.
     pub fn recycle(&mut self, cfg: &Arc<PreparedConfig>, seed: u64) {
         self.reset_core(cfg, seed);
         self.populate_disks();
@@ -536,10 +536,10 @@ impl Simulation {
         self.obs = Some(Box::new(obs));
     }
 
-    /// Detach the observer, writing its end-of-trial records and
-    /// returning its artifacts and event-loop profile (`None` when no
-    /// observer was attached). Call after a run, so spans still open
-    /// close as `truncated` at the horizon.
+    /// Detach the observer, rendering its recovery log and returning
+    /// its artifacts and event-loop profile (`None` when no observer
+    /// was attached). Call after a run, so spans still open close as
+    /// `truncated` at the horizon.
     pub fn detach(&mut self) -> Option<(TrialArtifacts, Option<EventProfile>)> {
         let obs = self.obs.take()?;
         Some(obs.finish(self.now, &self.metrics))
@@ -851,7 +851,7 @@ impl Simulation {
         if let Some(o) = self.obs.as_deref_mut() {
             let home = self.layout.home(b);
             let remaining = self.layout.missing_count(b.group());
-            o.rebuild_done(self.now, b, home, remaining, window, self.cfg.block_bytes);
+            o.rebuild_done(self.now, b, home, remaining, window);
         }
     }
 

@@ -6,8 +6,18 @@
 //!
 //! * [`profile::EventProfile`] — per-event-type counts and wall time in
 //!   the discrete-event loop, plus queue-depth sampling,
-//! * [`trace::TrialTracer`] — a structured JSONL trace of one sampled
-//!   trial (failures, detections, redirections, rebuilds, losses),
+//! * [`trial_log::TrialLog`] — the per-trial recovery log: each
+//!   recovery transition (failure, detection, redirection, rebuild,
+//!   latent trip, loss) recorded once, rendered at trial end into
+//!   - the JSONL trace of one sampled trial or of every losing trial
+//!     ([`TrialLog::render_trace`], `FARM_TRACE`),
+//!   - one post-mortem per data loss, the lost group's last dozen
+//!     transitions ending in the fatal one
+//!     ([`TrialLog::render_postmortems`], `FARM_POSTMORTEM`),
+//!   - recovery spans with detect / queue / transfer phases and
+//!     per-disk/per-group bandwidth rows, as `farm-spans-v1` JSONL or a
+//!     Chrome trace ([`TrialLog::spans`], `FARM_SPANS=path[@fmt]` /
+//!     `--spans`), whose replay also gives each loss's critical path,
 //! * [`progress::Progress`] — rate-limited stderr progress for
 //!   Monte-Carlo batches (trials done, trials/sec, ETA, losses),
 //! * [`diag`] — a process-wide diagnostics sink with once-per-process
@@ -15,9 +25,6 @@
 //! * [`timeline::TimelineRecorder`] / [`timeline::TimelineBands`] —
 //!   fixed-interval cluster-state gauges per trial, merged across the
 //!   batch into mean/p10/p90 bands (`FARM_TIMELINE` / `--timeline`),
-//! * [`flight::FlightRecorder`] — a bounded per-group ring of recent
-//!   failure/rebuild events that emits a JSON post-mortem of the causal
-//!   chain whenever a group loses data (`FARM_POSTMORTEM`),
 //! * [`registry::CampaignMonitor`] — the live campaign monitor: a
 //!   sharded per-worker metrics registry aggregated on demand, periodic
 //!   atomic-rename status snapshots with an online Wilson-interval loss
@@ -31,12 +38,6 @@
 //!   batched-means drift diagnostics (`FARM_CONVERGENCE=path[@trials]`
 //!   / `--convergence`), plus the deterministic `--target-rel-ci`
 //!   sequential stopping rule,
-//! * [`spans::SpanRecorder`] — recovery-lifecycle span tracing: every
-//!   block repair as a span with phase attribution (detect / queue /
-//!   transfer), per-disk/per-group bandwidth accounting, exported as
-//!   `farm-spans-v1` JSONL or a Chrome trace-event file
-//!   (`FARM_SPANS=path[@fmt]` / `--spans`), and critical-path
-//!   breakdowns in data-loss post-mortems,
 //! * [`ObsOptions`] — the switchboard, populated from `FARM_TRACE` /
 //!   `FARM_PROFILE` / `FARM_PROGRESS` / `FARM_TIMELINE` /
 //!   `FARM_POSTMORTEM` / `FARM_STATUS` / `FARM_HTTP` /
@@ -62,17 +63,18 @@ pub mod spans;
 pub mod status;
 pub mod timeline;
 pub mod trace;
+pub mod trial_log;
 
 pub use convergence::{ConvergenceCore, ConvergenceSpec, ConvergenceTracker, STOP_CHECK_EVERY};
-pub use flight::FlightRecorder;
 pub use profile::EventProfile;
 pub use progress::Progress;
 pub use registry::{BatchHandle, BatchTotals, CampaignMonitor, SpanPhases, WorkerShard};
 pub use sink::open_batch_file;
-pub use spans::{CriticalPath, SpanFormat, SpanRecorder, SpansSpec, TrialSpans};
+pub use spans::{CriticalPath, SpanFormat, SpansSpec, TrialSpans};
 pub use status::StatusSpec;
 pub use timeline::{TimelineBands, TimelineRecorder, TimelineSpec, GAUGES, N_GAUGES};
-pub use trace::{TraceSel, TraceSpec, TrialTracer};
+pub use trace::{TraceSel, TraceSpec};
+pub use trial_log::TrialLog;
 
 use std::sync::OnceLock;
 
@@ -89,8 +91,8 @@ pub struct ObsOptions {
     /// Sample cluster-state gauges at a fixed simulated-time interval
     /// and export cross-trial bands.
     pub timeline: Option<TimelineSpec>,
-    /// JSONL path for data-loss post-mortems (enables the per-group
-    /// flight recorder).
+    /// JSONL path for data-loss post-mortems (rendered from the trial's
+    /// recovery log).
     pub postmortem: Option<String>,
     /// Periodic campaign status snapshots (`FARM_STATUS=path[@secs]`).
     pub status: Option<StatusSpec>,

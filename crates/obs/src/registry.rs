@@ -228,7 +228,7 @@ impl BatchHandle {
         self.batch
             .finished_ms_plus_1
             .store(ms + 1, Ordering::Release);
-        self.core.write_status_snapshot();
+        self.core.write_status_snapshot(false);
     }
 }
 
@@ -241,10 +241,14 @@ pub(crate) struct MonitorCore {
     batches: Mutex<Vec<Arc<BatchState>>>,
     /// Bound address of the `/metrics` listener, once it is up.
     pub(crate) http_addr: OnceLock<SocketAddr>,
-    /// Serializes snapshot writers (periodic thread vs `finish`) and
-    /// numbers the snapshots.
-    snapshot_seq: Mutex<u64>,
+    /// Serializes snapshot writers (periodic thread vs `finish`): the
+    /// next snapshot's number and the progress the last one showed.
+    snapshots: Mutex<(u64, Option<CampaignProgress>)>,
 }
+
+/// Batches begun, trials recorded, batches finished: what a status
+/// snapshot can change by.
+type CampaignProgress = (usize, u64, usize);
 
 impl MonitorCore {
     pub(crate) fn batches(&self) -> Vec<Arc<BatchState>> {
@@ -255,13 +259,28 @@ impl MonitorCore {
         self.start.elapsed().as_secs_f64()
     }
 
+    fn progress(&self) -> CampaignProgress {
+        let batches = self.batches();
+        let trials = batches.iter().map(|b| b.totals().trials).sum();
+        let finished = batches.iter().filter(|b| b.is_finished()).count();
+        (batches.len(), trials, finished)
+    }
+
     /// Render and atomically publish one status snapshot (no-op without
-    /// a `FARM_STATUS` spec).
-    pub(crate) fn write_status_snapshot(&self) {
+    /// a `FARM_STATUS` spec). With `if_changed` (the periodic writer),
+    /// skip it when no batch has begun, recorded trials or finished
+    /// since the last snapshot, so a finished campaign's file stays as
+    /// its final snapshot left it.
+    pub(crate) fn write_status_snapshot(&self, if_changed: bool) {
         let Some(spec) = &self.status else {
             return;
         };
-        let mut seq = self.snapshot_seq.lock().expect("snapshot_seq poisoned");
+        let mut snapshots = self.snapshots.lock().expect("snapshots poisoned");
+        let (seq, shown) = &mut *snapshots;
+        let progress = Some(self.progress());
+        if if_changed && *shown == progress {
+            return;
+        }
         if let Err(e) = status::write_snapshot(self, spec, *seq) {
             diag::warn_once(
                 "status-write",
@@ -270,6 +289,7 @@ impl MonitorCore {
             return;
         }
         *seq += 1;
+        *shown = progress;
     }
 }
 
@@ -294,16 +314,20 @@ impl CampaignMonitor {
             status,
             batches: Mutex::new(Vec::new()),
             http_addr: OnceLock::new(),
-            snapshot_seq: Mutex::new(0),
+            snapshots: Mutex::default(),
         });
         if let Some(spec) = &core.status {
             let interval = std::time::Duration::from_secs_f64(spec.resolve_interval());
-            let writer = Arc::clone(&core);
+            // The writer ends once nothing else holds the monitor.
+            let writer = Arc::downgrade(&core);
             std::thread::Builder::new()
                 .name("farm-status".into())
                 .spawn(move || loop {
                     std::thread::sleep(interval);
-                    writer.write_status_snapshot();
+                    let Some(core) = writer.upgrade() else {
+                        return;
+                    };
+                    core.write_status_snapshot(true);
                 })
                 .map_err(|e| {
                     diag::warn_once("status-thread", &format!("cannot spawn status writer: {e}"))
@@ -366,7 +390,7 @@ impl CampaignMonitor {
 
     /// Force one status snapshot now (the driver's final write path).
     pub fn write_snapshot_now(&self) {
-        self.core.write_status_snapshot();
+        self.core.write_status_snapshot(false);
     }
 
     /// Render the current `/metrics` exposition (what the HTTP listener
@@ -424,6 +448,33 @@ mod tests {
         assert!(a.state().is_finished());
         assert!(a.state().finished_secs().unwrap() >= 0.0);
         assert!(!b.state().is_finished());
+    }
+
+    #[test]
+    fn status_writer_goes_quiet_until_the_campaign_moves() {
+        let path =
+            std::env::temp_dir().join(format!("farm-status-quiet-{}.json", std::process::id()));
+        let spec = StatusSpec {
+            path: path.to_str().unwrap().to_string(),
+            interval_secs: Some(0.05),
+        };
+        let interval = std::time::Duration::from_millis(50);
+        let mon = CampaignMonitor::new(Some(spec), None);
+        let a = mon.begin_batch("a".into(), 1);
+        a.shard().record_trial(false, 10, 0.001);
+        a.finish();
+        std::fs::remove_file(&path).expect("finish wrote the final snapshot");
+        std::thread::sleep(3 * interval);
+        assert!(!path.exists(), "status file rewritten after the campaign");
+        // A new batch's trials resume the periodic snapshots.
+        let b = mon.begin_batch("b".into(), 1);
+        b.shard().record_trial(true, 10, 0.001);
+        let back = (0..100).any(|_| {
+            std::thread::sleep(interval);
+            path.exists()
+        });
+        std::fs::remove_file(&path).ok();
+        assert!(back, "no snapshot after the new batch recorded a trial");
     }
 
     #[test]

@@ -31,12 +31,14 @@
 //!   `chrome://tracing` (`pid` = trial, `tid` = group, one complete
 //!   event per span plus nested phase events).
 //!
-//! Recording happens per trial into a [`SpanRecorder`] owned by the
-//! simulation (zero cost when absent: every hook is a null test), and
-//! the harvested [`TrialSpans`] ride the ordered-artifact path, so the
+//! Spans are one renderer over the trial's recovery log
+//! ([`crate::trial_log`]): at trial end [`TrialLog::spans`] replays the
+//! log once, in order, into the trial's [`TrialSpans`] and the critical
+//! path of each loss. The spans ride the ordered-artifact path, so the
 //! exported files are byte-identical across `FARM_THREADS`.
 
 use crate::status::{jnum, jstr};
+use crate::trial_log::{kind, Transition, TrialLog, NO_DISK};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
@@ -45,9 +47,6 @@ use std::sync::{Mutex, OnceLock};
 pub const DEFAULT_SPANS_PATH: &str = "farm-spans.jsonl";
 /// Default output path when the chrome format is selected bare.
 pub const DEFAULT_CHROME_PATH: &str = "farm-spans.json";
-
-/// "No disk": a span that never got a rebuild target.
-pub const NO_DISK: u32 = u32::MAX;
 
 /// Export format of the spans artifact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -95,9 +94,6 @@ impl SpansSpec {
         })
     }
 }
-
-/// Terminal outcomes a span can close with.
-pub const OUTCOMES: [&str; 4] = ["rebuilt", "loss_disk", "loss_latent", "truncated"];
 
 /// Which phase a live span is currently accruing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -234,7 +230,7 @@ impl SpanRow {
 }
 
 /// Phase breakdown of a fatal vulnerability window, attached to the
-/// flight-recorder post-mortem of the data-loss event. By construction
+/// post-mortem of the data-loss event. By construction
 /// `detect + queue + transfer` telescopes to `window_secs`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CriticalPath {
@@ -378,12 +374,57 @@ impl TrialSpans {
     }
 }
 
-/// The per-trial span recorder owned by one simulation. All hooks take
-/// plain seconds and ids, so `farm-core` stays format-agnostic.
-#[derive(Debug, Default)]
-pub struct SpanRecorder {
-    /// Every span of the trial in open order (open and closed); the
-    /// emission order, hence deterministic.
+impl TrialLog {
+    /// Replay the log into the trial's spans and bandwidth rows, in one
+    /// in-order pass, and the critical path of each loss record in log
+    /// order (`None` when the lost group had no open span). Spans still
+    /// open at `end_secs` close as `truncated`; every rebuild moves
+    /// `block_bytes`.
+    pub fn spans(
+        &self,
+        end_secs: f64,
+        block_bytes: u64,
+    ) -> (TrialSpans, Vec<Option<CriticalPath>>) {
+        let mut rp = Replay::default();
+        let mut paths = Vec::new();
+        for r in self.records() {
+            match r.kind {
+                kind::BLOCK_FAILED => rp.open_span(r),
+                kind::REBUILD_START => rp.schedule(r, self.sources(r), block_bytes),
+                kind::NO_TARGET | kind::REDIRECT => {
+                    if let Some(&i) = rp.open.get(&r.block) {
+                        let span = &mut rp.spans[i as usize];
+                        span.advance(r.t);
+                        if r.kind == kind::NO_TARGET {
+                            span.no_target += 1;
+                        } else {
+                            span.redirects += 1;
+                        }
+                        span.phase = Phase::Detect;
+                    }
+                }
+                kind::REBUILD_DONE => {
+                    if let Some(i) = rp.open.remove(&r.block) {
+                        let span = &mut rp.spans[i as usize];
+                        span.bytes += block_bytes;
+                        span.close(r.t, "rebuilt");
+                    }
+                }
+                kind::LOSS_DISK | kind::LOSS_LATENT => {
+                    paths.push(rp.group_loss(r.group, r.t, r.kind == kind::LOSS_LATENT));
+                }
+                _ => {}
+            }
+        }
+        (rp.finish(end_secs), paths)
+    }
+}
+
+/// The span replay's state: every span in open order (the emission
+/// order), the open span of each vulnerable block, and the resources
+/// recovery touched.
+#[derive(Default)]
+struct Replay {
     spans: Vec<SpanRow>,
     /// Block → index of its currently-open span in `spans`.
     open: HashMap<u32, u32>,
@@ -391,26 +432,22 @@ pub struct SpanRecorder {
     groups: HashMap<u32, BwRow>,
 }
 
-impl SpanRecorder {
-    pub fn new() -> Self {
-        SpanRecorder::default()
-    }
-
-    /// A disk failure made `block` (of `group`) vulnerable: open a span.
-    pub fn on_fail(&mut self, group: u32, block: u32, disk: u32, t: f64) {
+impl Replay {
+    /// A disk failure made the block vulnerable: open a span.
+    fn open_span(&mut self, r: &Transition) {
         debug_assert!(
-            !self.open.contains_key(&block),
+            !self.open.contains_key(&r.block),
             "span re-opened for an already-vulnerable block"
         );
         let idx = self.spans.len() as u32;
         self.spans.push(SpanRow {
             span: idx,
-            group,
-            block,
-            fail_disk: disk,
+            group: r.group,
+            block: r.block,
+            fail_disk: r.disk,
             target: NO_DISK,
             bytes: 0,
-            t_fail: t,
+            t_fail: r.t,
             t_detect: f64::NAN,
             t_start: f64::NAN,
             t_end: f64::NAN,
@@ -422,30 +459,21 @@ impl SpanRecorder {
             no_target: 0,
             outcome: "truncated",
             phase: Phase::Detect,
-            last_t: t,
+            last_t: r.t,
             planned_start: f64::NAN,
             open: true,
         });
-        self.open.insert(block, idx);
+        self.open.insert(r.block, idx);
     }
 
-    /// A Detect event scheduled a rebuild for `block`: transfer starts
-    /// at `start` (>= `t`, the detection instant) on `target`, reading
-    /// from `sources`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_schedule(
-        &mut self,
-        block: u32,
-        t: f64,
-        start: f64,
-        duration: f64,
-        target: u32,
-        sources: &[u32],
-        block_bytes: u64,
-    ) {
-        let Some(&idx) = self.open.get(&block) else {
+    /// A Detect event scheduled a rebuild of the block: transfer starts
+    /// at `r.a` (>= `r.t`, the detection instant) on target `r.disk`
+    /// for `r.b` seconds, reading from `sources`.
+    fn schedule(&mut self, r: &Transition, sources: &[u32], block_bytes: u64) {
+        let Some(&idx) = self.open.get(&r.block) else {
             return;
         };
+        let (t, start, duration, target) = (r.t, r.a, r.b, r.disk);
         let span = &mut self.spans[idx as usize];
         span.advance(t);
         if span.t_detect.is_nan() {
@@ -462,74 +490,32 @@ impl SpanRecorder {
         // Bandwidth attribution: the model charges each source pipe a
         // full block read and the target a full block write, busy for
         // the whole transfer.
-        let w = self.disks.entry(target).or_insert_with(|| BwRow {
-            id: target,
-            ..BwRow::default()
-        });
-        w.bytes_written += block_bytes;
-        w.busy_secs += duration;
-        w.spans += 1;
-        for &src in sources {
-            let r = self.disks.entry(src).or_insert_with(|| BwRow {
-                id: src,
+        let row = |map: &mut HashMap<u32, BwRow>, id: u32, read: u64, written: u64| {
+            let row = map.entry(id).or_insert_with(|| BwRow {
+                id,
                 ..BwRow::default()
             });
-            r.bytes_read += block_bytes;
-            r.busy_secs += duration;
-            r.spans += 1;
+            row.bytes_read += read;
+            row.bytes_written += written;
+            row.busy_secs += duration;
+            row.spans += 1;
+        };
+        row(&mut self.disks, target, 0, block_bytes);
+        for &src in sources {
+            row(&mut self.disks, src, block_bytes, 0);
         }
-        let g = self.groups.entry(group).or_insert_with(|| BwRow {
-            id: group,
-            ..BwRow::default()
-        });
-        g.bytes_read += block_bytes * sources.len() as u64;
-        g.bytes_written += block_bytes;
-        g.busy_secs += duration;
-        g.spans += 1;
-    }
-
-    /// A Detect round found no spare capacity for `block`.
-    pub fn on_no_target(&mut self, block: u32, t: f64) {
-        let Some(&idx) = self.open.get(&block) else {
-            return;
-        };
-        let span = &mut self.spans[idx as usize];
-        span.advance(t);
-        span.no_target += 1;
-        span.phase = Phase::Detect;
-    }
-
-    /// A further failure bumped the block's epoch, invalidating its
-    /// in-flight rebuild; the span waits to be re-detected.
-    pub fn on_redirect(&mut self, block: u32, t: f64) {
-        let Some(&idx) = self.open.get(&block) else {
-            return;
-        };
-        let span = &mut self.spans[idx as usize];
-        span.advance(t);
-        span.redirects += 1;
-        span.phase = Phase::Detect;
-    }
-
-    /// The block's rebuild completed: close the span.
-    pub fn on_done(&mut self, block: u32, t: f64, bytes: u64) {
-        let Some(idx) = self.open.remove(&block) else {
-            return;
-        };
-        let span = &mut self.spans[idx as usize];
-        span.bytes += bytes;
-        span.close(t, "rebuilt");
+        let read = block_bytes * sources.len() as u64;
+        row(&mut self.groups, group, read, block_bytes);
     }
 
     /// The group lost data at `t`: close all its open spans with the
     /// loss outcome and return the critical path of the *oldest* one —
     /// the span whose window is the fatal vulnerability window.
-    pub fn on_group_loss(&mut self, group: u32, t: f64, latent: bool) -> Option<CriticalPath> {
+    fn group_loss(&mut self, group: u32, t: f64, latent: bool) -> Option<CriticalPath> {
         let outcome = if latent { "loss_latent" } else { "loss_disk" };
         let mut fatal: Option<CriticalPath> = None;
         // `spans` is in open order, so the first match is the oldest.
-        for idx in 0..self.spans.len() {
-            let span = &mut self.spans[idx];
+        for span in self.spans.iter_mut() {
             if !span.open || span.group != group {
                 continue;
             }
@@ -542,29 +528,22 @@ impl SpanRecorder {
         fatal
     }
 
-    /// End of trial: close every span still open as `truncated`.
-    pub fn finalize(&mut self, t: f64) {
-        for idx in 0..self.spans.len() {
-            let span = &mut self.spans[idx];
-            if span.open {
-                span.close(t, "truncated");
-            }
+    /// End of trial: close every span still open as `truncated` and
+    /// harvest (resource rows in ascending id order, so the artifact is
+    /// deterministic).
+    fn finish(mut self, t: f64) -> TrialSpans {
+        for span in self.spans.iter_mut().filter(|s| s.open) {
+            span.close(t, "truncated");
         }
-        self.open.clear();
-    }
-
-    /// Harvest the trial's spans and bandwidth rows (resource rows in
-    /// ascending id order, so the artifact is deterministic).
-    pub fn take(&mut self) -> TrialSpans {
-        debug_assert!(self.open.is_empty(), "take() before finalize()");
-        let mut disks: Vec<BwRow> = self.disks.drain().map(|(_, r)| r).collect();
-        disks.sort_by_key(|r| r.id);
-        let mut groups: Vec<BwRow> = self.groups.drain().map(|(_, r)| r).collect();
-        groups.sort_by_key(|r| r.id);
+        let sorted = |map: HashMap<u32, BwRow>| {
+            let mut rows: Vec<BwRow> = map.into_values().collect();
+            rows.sort_by_key(|r| r.id);
+            rows
+        };
         TrialSpans {
-            spans: std::mem::take(&mut self.spans),
-            disks,
-            groups,
+            spans: self.spans,
+            disks: sorted(self.disks),
+            groups: sorted(self.groups),
         }
     }
 }
@@ -629,12 +608,12 @@ mod tests {
     /// The uncontended happy path: fail → detect+schedule → done.
     #[test]
     fn phases_sum_to_the_window() {
-        let mut rec = SpanRecorder::new();
-        rec.on_fail(3, 40, 7, 100.0);
-        rec.on_schedule(40, 130.0, 150.0, 600.0, 9, &[1, 2], 1 << 30);
-        rec.on_done(40, 750.0, 1 << 30);
-        rec.finalize(751.0);
-        let t = rec.take();
+        let mut log = TrialLog::default();
+        log.push(100.0, kind::BLOCK_FAILED, 3, 40, 0, 7);
+        log.rebuild_start(130.0, 3, 40, 0, 9, 150.0, 600.0, [1, 2]);
+        log.push(750.0, kind::REBUILD_DONE, 3, 40, 0, 9).a = 650.0;
+        let (t, paths) = log.spans(751.0, 1 << 30);
+        assert!(paths.is_empty(), "no loss, no critical path");
         assert_eq!(t.spans.len(), 1);
         let s = &t.spans[0];
         assert_eq!(s.outcome, "rebuilt");
@@ -662,16 +641,15 @@ mod tests {
     /// sums still telescope to the window.
     #[test]
     fn redirected_span_keeps_the_telescoping_invariant() {
-        let mut rec = SpanRecorder::new();
-        rec.on_fail(0, 5, 2, 0.0);
-        rec.on_schedule(5, 30.0, 30.0, 1000.0, 8, &[1], 4096);
+        let mut log = TrialLog::default();
+        log.push(0.0, kind::BLOCK_FAILED, 0, 5, 1, 2);
+        log.rebuild_start(30.0, 0, 5, 1, 8, 30.0, 1000.0, [1]);
         // Second failure at t=200: 170 s of transfer happened, then the
         // epoch bump sends the block back to detection.
-        rec.on_redirect(5, 200.0);
-        rec.on_schedule(5, 230.0, 400.0, 1000.0, 8, &[1], 4096);
-        rec.on_done(5, 1400.0, 4096);
-        rec.finalize(1500.0);
-        let s = &rec.take().spans[0];
+        log.push(200.0, kind::REDIRECT, 0, 5, 1, 8);
+        log.rebuild_start(230.0, 0, 5, 1, 8, 400.0, 1000.0, [1]);
+        log.push(1400.0, kind::REBUILD_DONE, 0, 5, 1, 8).a = 1400.0;
+        let s = &log.spans(1500.0, 4096).0.spans[0];
         assert_eq!(s.redirects, 1);
         assert_eq!(s.attempts, 2);
         assert_eq!(s.detect_secs, 30.0 + 30.0);
@@ -686,12 +664,18 @@ mod tests {
 
     #[test]
     fn group_loss_closes_spans_and_reports_the_oldest_window() {
-        let mut rec = SpanRecorder::new();
-        rec.on_fail(1, 10, 2, 50.0);
-        rec.on_schedule(10, 80.0, 90.0, 500.0, 7, &[3], 4096);
-        rec.on_fail(1, 11, 4, 300.0); // second failure, same group
-        rec.on_fail(2, 20, 4, 300.0); // unrelated group stays open
-        let cp = rec.on_group_loss(1, 300.0, false).expect("critical path");
+        let mut log = TrialLog::default();
+        log.push(50.0, kind::BLOCK_FAILED, 1, 10, 0, 2);
+        log.rebuild_start(80.0, 1, 10, 0, 7, 90.0, 500.0, [3]);
+        log.push(300.0, kind::BLOCK_FAILED, 1, 11, 1, 4); // second failure, same group
+        log.push(300.0, kind::BLOCK_FAILED, 2, 20, 0, 4); // unrelated group stays open
+        log.push(300.0, kind::LOSS_DISK, 1, NO_DISK, 0, NO_DISK);
+        // No second critical path for an already-closed group.
+        log.push(350.0, kind::LOSS_LATENT, 1, NO_DISK, 0, NO_DISK);
+        let (t, paths) = log.spans(400.0, 4096);
+        assert_eq!(paths.len(), 2);
+        assert!(paths[1].is_none());
+        let cp = paths[0].expect("critical path");
         assert_eq!(cp.window_secs, 250.0);
         assert_eq!(cp.detect_secs, 30.0);
         assert_eq!(cp.queue_secs, 10.0);
@@ -699,26 +683,40 @@ mod tests {
         let sum = cp.detect_secs + cp.queue_secs + cp.transfer_secs;
         assert!((sum - cp.window_secs).abs() < 1e-9);
         assert_eq!(cp.dominant(), "transfer");
-        rec.finalize(400.0);
-        let t = rec.take();
         assert_eq!(t.spans.len(), 3);
         assert_eq!(t.spans[0].outcome, "loss_disk");
         assert_eq!(t.spans[1].outcome, "loss_disk");
         assert_eq!(t.spans[1].t_end - t.spans[1].t_fail, 0.0);
         assert_eq!(t.spans[2].outcome, "truncated");
-        // No second critical path for an already-closed group.
-        assert!(rec.on_group_loss(1, 500.0, true).is_none());
+        assert_eq!(t.spans[2].t_end, 400.0);
+    }
+
+    /// A Detect round with no spare capacity keeps the span in detection
+    /// and counts the round; a loss's latent cause names the outcome.
+    #[test]
+    fn no_target_rounds_stay_in_detection() {
+        let mut log = TrialLog::default();
+        log.push(0.0, kind::BLOCK_FAILED, 4, 9, 0, 1);
+        log.push(30.0, kind::NO_TARGET, 4, 9, 0, NO_DISK);
+        log.rebuild_start(60.0, 4, 9, 0, 6, 60.0, 100.0, [2]);
+        log.push(100.0, kind::LOSS_LATENT, 4, NO_DISK, 0, NO_DISK);
+        let (t, paths) = log.spans(200.0, 4096);
+        let s = &t.spans[0];
+        assert_eq!((s.no_target, s.attempts), (1, 1));
+        assert_eq!(s.detect_secs, 60.0);
+        assert_eq!(s.transfer_secs, 40.0);
+        assert_eq!(s.outcome, "loss_latent");
+        assert_eq!(paths[0].unwrap().window_secs, 100.0);
     }
 
     #[test]
     fn jsonl_rows_follow_the_schema() {
-        let mut rec = SpanRecorder::new();
-        rec.on_fail(3, 40, 7, 100.0);
-        rec.on_schedule(40, 130.0, 150.0, 600.0, 9, &[1], 1 << 20);
-        rec.on_done(40, 750.0, 1 << 20);
-        rec.on_fail(3, 41, 8, 900.0);
-        rec.finalize(1000.0);
-        let t = rec.take();
+        let mut log = TrialLog::default();
+        log.push(100.0, kind::BLOCK_FAILED, 3, 40, 0, 7);
+        log.rebuild_start(130.0, 3, 40, 0, 9, 150.0, 600.0, [1]);
+        log.push(750.0, kind::REBUILD_DONE, 3, 40, 0, 9).a = 650.0;
+        log.push(900.0, kind::BLOCK_FAILED, 3, 41, 1, 8);
+        let (t, _) = log.spans(1000.0, 1 << 20);
         let mut out = String::new();
         t.render_jsonl(&mut out, 2, "mirror(2) Farm", 17);
         let lines: Vec<&str> = out.lines().collect();
@@ -740,12 +738,11 @@ mod tests {
 
     #[test]
     fn chrome_events_cover_the_span() {
-        let mut rec = SpanRecorder::new();
-        rec.on_fail(3, 40, 7, 100.0);
-        rec.on_schedule(40, 130.0, 150.0, 600.0, 9, &[1], 1 << 20);
-        rec.on_done(40, 750.0, 1 << 20);
-        rec.finalize(800.0);
-        let t = rec.take();
+        let mut log = TrialLog::default();
+        log.push(100.0, kind::BLOCK_FAILED, 3, 40, 0, 7);
+        log.rebuild_start(130.0, 3, 40, 0, 9, 150.0, 600.0, [1]);
+        log.push(750.0, kind::REBUILD_DONE, 3, 40, 0, 9).a = 650.0;
+        let (t, _) = log.spans(800.0, 1 << 20);
         let mut evs = Vec::new();
         t.render_chrome(&mut evs, 4);
         // One repair envelope + three phase events.

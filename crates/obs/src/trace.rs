@@ -5,25 +5,24 @@
 //!
 //! Records are one JSON object per line, always carrying `trial`, `t`
 //! (simulated seconds) and `ev`; event-specific fields follow. The
-//! writer is buffered and owned by the trial being traced, so untraced
-//! trials pay nothing.
+//! trace is one renderer over the trial's recovery log
+//! ([`crate::trial_log`]): nothing is formatted while the trial runs.
 //!
 //! Two selection modes: `FARM_TRACE=7` traces the one trial you name;
-//! `FARM_TRACE=loss` traces *every* trial into an in-memory buffer and
-//! flushes only the trials that actually lose data — no guessing a
-//! trial index up front when hunting a loss.
+//! `FARM_TRACE=loss` logs every trial and renders only the trials that
+//! actually lose data — no guessing a trial index up front when hunting
+//! a loss. Either way a trace is written with the batch's other
+//! artifacts, in trial order, and only for committed trials.
 
-use crate::sink::open_batch_file;
-use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use crate::trial_log::{kind, TrialLog};
+use std::fmt::Write as _;
 
 /// Which trials to trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceSel {
     /// Trace exactly this trial index.
     Trial(u64),
-    /// Trace every trial into memory; keep only trials that lose data.
+    /// Log every trial; render the trace only of trials that lose data.
     Loss,
 }
 
@@ -94,123 +93,51 @@ fn parse_sel(s: &str) -> Result<TraceSel, String> {
         .map_err(|e| format!("trial selector {s:?} (want an index or \"loss\"): {e}"))
 }
 
-enum Sink {
-    Stderr(io::Stderr),
-    File(BufWriter<File>),
-    /// In-memory buffer for `FARM_TRACE=loss`: the batch runner takes
-    /// the bytes afterwards and flushes them only if the trial lost.
-    Buffer(Vec<u8>),
-}
-
-impl Write for Sink {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sink::Stderr(s) => s.write(buf),
-            Sink::File(f) => f.write(buf),
-            Sink::Buffer(b) => b.write(buf),
+impl TrialLog {
+    /// Render the trial's JSONL trace: one record per traced transition,
+    /// in log order, then a `trial_end` record at `end_secs` carrying
+    /// the trial's `[failures, rebuilds, redirections, lost_groups]`.
+    pub fn render_trace(&self, trial: u64, end_secs: f64, counts: [u64; 4]) -> String {
+        let mut out = String::new();
+        for r in self.records() {
+            // A block going missing and a latent trip are post-mortem and
+            // span material; the trace narrates the disk-level failure
+            // and the recovery actions.
+            let closed_window = r.kind != kind::REBUILD_DONE || !r.a.is_nan();
+            if matches!(r.kind, kind::BLOCK_FAILED | kind::LATENT) || !closed_window {
+                continue;
+            }
+            let ev = kind::NAMES[r.kind as usize];
+            let _ = write!(out, "{{\"trial\":{trial},\"t\":{:.3},\"ev\":\"{ev}\"", r.t);
+            let _ = match r.kind {
+                kind::DISK_FAILED => write!(out, ",\"disk\":{}", r.disk),
+                kind::DETECT => write!(out, ",\"disk\":{},\"rebuilds\":{}", r.disk, r.a as u64),
+                kind::LOSS_DISK | kind::LOSS_LATENT => write!(out, ",\"group\":{}", r.group),
+                _ => write!(out, ",\"group\":{},\"idx\":{}", r.group, r.idx),
+            };
+            let _ = match r.kind {
+                kind::REBUILD_START => {
+                    write!(out, ",\"target\":{},\"wait\":{:.3}", r.disk, r.a - r.t)
+                }
+                kind::REBUILD_DONE => write!(out, ",\"window\":{:.3}", r.a),
+                _ => Ok(()),
+            };
+            out.push_str("}\n");
         }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Sink::Stderr(s) => s.flush(),
-            Sink::File(f) => f.flush(),
-            Sink::Buffer(_) => Ok(()),
-        }
-    }
-}
-
-/// The per-trial trace writer handed to one simulation.
-pub struct TrialTracer {
-    trial: u64,
-    sink: Sink,
-    records: u64,
-}
-
-impl TrialTracer {
-    /// Open the spec's sink for trial `trial`. A file is truncated by
-    /// the first open in the process and appended to after that, so a
-    /// sweep keeps every batch's trace (see [`open_batch_file`]).
-    pub fn open(spec: &TraceSpec, trial: u64) -> io::Result<TrialTracer> {
-        let sink = match &spec.path {
-            None => Sink::Stderr(io::stderr()),
-            Some(p) => Sink::File(BufWriter::new(open_batch_file(p)?.0)),
-        };
-        Ok(TrialTracer {
-            trial,
-            sink,
-            records: 0,
-        })
-    }
-
-    /// A tracer accumulating into memory (for `FARM_TRACE=loss`): take
-    /// the bytes with [`TrialTracer::take_buffer`] after the trial.
-    pub fn buffered(trial: u64) -> TrialTracer {
-        TrialTracer {
-            trial,
-            sink: Sink::Buffer(Vec::new()),
-            records: 0,
-        }
-    }
-
-    /// File-backed tracer for unit tests of the record format.
-    pub fn to_path(trial: u64, path: &str) -> io::Result<TrialTracer> {
-        Self::open(
-            &TraceSpec {
-                sel: TraceSel::Trial(trial),
-                path: Some(path.to_string()),
-            },
-            trial,
-        )
-    }
-
-    pub fn trial(&self) -> u64 {
-        self.trial
-    }
-
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Emit one record. `extra` is a pre-formatted JSON fragment of
-    /// event-specific fields, either empty or starting with a comma
-    /// (e.g. `,"disk":17`); building it with `format_args!` costs
-    /// nothing at disabled call sites.
-    pub fn emit(&mut self, t_secs: f64, ev: &str, extra: fmt::Arguments<'_>) {
-        self.records += 1;
-        // A trace write failing (closed pipe, full disk) must not abort
-        // the simulation; drop the record.
+        let [failures, rebuilds, redirections, lost_groups] = counts;
         let _ = writeln!(
-            self.sink,
-            "{{\"trial\":{},\"t\":{:.3},\"ev\":\"{}\"{}}}",
-            self.trial, t_secs, ev, extra
+            out,
+            "{{\"trial\":{trial},\"t\":{end_secs:.3},\"ev\":\"trial_end\",\"failures\":{failures},\
+             \"rebuilds\":{rebuilds},\"redirections\":{redirections},\"lost_groups\":{lost_groups}}}"
         );
-    }
-
-    /// For a [`TrialTracer::buffered`] tracer, take the accumulated
-    /// JSONL bytes (leaving it empty); `None` for other sinks.
-    pub fn take_buffer(&mut self) -> Option<Vec<u8>> {
-        match &mut self.sink {
-            Sink::Buffer(b) => Some(std::mem::take(b)),
-            _ => None,
-        }
-    }
-
-    /// Flush buffered records (also happens on drop).
-    pub fn flush(&mut self) {
-        let _ = self.sink.flush();
-    }
-}
-
-impl Drop for TrialTracer {
-    fn drop(&mut self) {
-        self.flush();
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial_log::NO_DISK;
 
     #[test]
     fn spec_parsing_forms() {
@@ -256,46 +183,39 @@ mod tests {
 
     #[test]
     fn records_are_one_json_object_per_line() {
-        let path =
-            std::env::temp_dir().join(format!("farm-trace-test-{}.jsonl", std::process::id()));
-        let path_s = path.to_str().unwrap();
-        {
-            let mut t = TrialTracer::to_path(5, path_s).unwrap();
-            t.emit(0.0, "failure", format_args!(",\"disk\":17"));
-            t.emit(30.0, "detect", format_args!(",\"disk\":17,\"blocks\":3"));
-            t.emit(94.5, "rebuild_done", format_args!(""));
-            assert_eq!(t.records(), 3);
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 3);
+        let mut log = TrialLog::default();
+        log.push(0.0, kind::DISK_FAILED, NO_DISK, NO_DISK, 0, 17);
+        log.push(0.0, kind::BLOCK_FAILED, 4, 40, 1, 17); // not traced
+        log.push(30.0, kind::DETECT, NO_DISK, NO_DISK, 0, 17).a = 3.0;
+        log.rebuild_start(30.0, 4, 40, 1, 9, 32.25, 60.0, [2]);
+        log.push(30.0, kind::LATENT, 4, 41, 2, 5); // not traced
+        log.push(94.5, kind::REBUILD_DONE, 4, 40, 1, 9).a = 94.5;
+        log.push(95.0, kind::REBUILD_DONE, 4, 42, 0, 9); // no window: not traced
+        log.push(96.0, kind::REDIRECT, 4, 43, 3, 8);
+        log.push(97.0, kind::NO_TARGET, 4, 44, 2, u32::MAX);
+        log.push(98.0, kind::LOSS_LATENT, 4, NO_DISK, 0, NO_DISK);
+        let out = log.render_trace(5, 99.0, [1, 1, 1, 1]);
+        let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
-            lines[0],
-            "{\"trial\":5,\"t\":0.000,\"ev\":\"failure\",\"disk\":17}"
+            lines,
+            [
+                "{\"trial\":5,\"t\":0.000,\"ev\":\"failure\",\"disk\":17}",
+                "{\"trial\":5,\"t\":30.000,\"ev\":\"detect\",\"disk\":17,\"rebuilds\":3}",
+                "{\"trial\":5,\"t\":30.000,\"ev\":\"rebuild_start\",\"group\":4,\"idx\":1,\"target\":9,\"wait\":2.250}",
+                "{\"trial\":5,\"t\":94.500,\"ev\":\"rebuild_done\",\"group\":4,\"idx\":1,\"window\":94.500}",
+                "{\"trial\":5,\"t\":96.000,\"ev\":\"redirect\",\"group\":4,\"idx\":3}",
+                "{\"trial\":5,\"t\":97.000,\"ev\":\"no_target\",\"group\":4,\"idx\":2}",
+                "{\"trial\":5,\"t\":98.000,\"ev\":\"loss\",\"group\":4}",
+                "{\"trial\":5,\"t\":99.000,\"ev\":\"trial_end\",\"failures\":1,\"rebuilds\":1,\"redirections\":1,\"lost_groups\":1}",
+            ]
         );
+        assert!(out.ends_with("}\n"));
+        // A trial with no traced transition is its trial_end alone.
+        let out = TrialLog::default().render_trace(9, 1.5, [0, 0, 0, 0]);
         assert_eq!(
-            lines[2],
-            "{\"trial\":5,\"t\":94.500,\"ev\":\"rebuild_done\"}"
+            out,
+            "{\"trial\":9,\"t\":1.500,\"ev\":\"trial_end\",\"failures\":0,\
+             \"rebuilds\":0,\"redirections\":0,\"lost_groups\":0}\n"
         );
-        for l in lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn buffered_tracer_accumulates_and_yields_bytes() {
-        let mut t = TrialTracer::buffered(9);
-        t.emit(1.0, "failure", format_args!(",\"disk\":3"));
-        t.emit(2.0, "loss", format_args!(""));
-        let bytes = t.take_buffer().expect("buffered sink");
-        let body = String::from_utf8(bytes).unwrap();
-        assert_eq!(
-            body,
-            "{\"trial\":9,\"t\":1.000,\"ev\":\"failure\",\"disk\":3}\n\
-             {\"trial\":9,\"t\":2.000,\"ev\":\"loss\"}\n"
-        );
-        // Taking leaves the buffer empty, and non-buffer sinks say None.
-        assert_eq!(t.take_buffer().unwrap(), Vec::<u8>::new());
     }
 }

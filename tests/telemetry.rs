@@ -411,3 +411,49 @@ fn loss_trace_has_one_loss_record_per_lost_group() {
     assert!(ends > 0, "lossy config must lose data");
     assert_eq!(losses, 0, "loss records after the last trial_end");
 }
+
+#[test]
+fn trial_trace_is_written_only_for_a_committed_trial() {
+    // A trial-N trace lands with the batch's other artifacts, so under a
+    // `--target-rel-ci` stop it exists exactly when trial N is inside
+    // the committed prefix. Workers run some trials past the stop before
+    // they see it (which ones depends on scheduling), so every trial of
+    // the next three chunks is tried.
+    let cfg = lossy();
+    let (total, threads) = (2048, 2);
+    let stop = |trace: Option<TraceSpec>| ObsOptions {
+        target_rel_ci: Some(0.75),
+        trace,
+        ..ObsOptions::off()
+    };
+    let (summary, _) = run_trials_observed(&cfg, 7, total, TrialMode::Full, threads, &stop(None));
+    let s = summary.trials();
+    assert!(s < total, "the rule never triggered in {total} trials");
+    for trial in s - 1..s + 3 * farm_core::montecarlo::CHUNK_TRIALS {
+        let path = tmp_path(&format!("committed-trace-{trial}.jsonl"));
+        let spec = TraceSpec {
+            sel: TraceSel::Trial(trial),
+            path: Some(path.clone()),
+        };
+        let obs = stop(Some(spec));
+        let (traced, _) = run_trials_observed(&cfg, 7, total, TrialMode::Full, threads, &obs);
+        assert_eq!(traced.trials(), s, "tracing moved the stop");
+        let body = std::fs::read_to_string(&path).ok();
+        std::fs::remove_file(&path).ok();
+        if trial < s {
+            let body = body.expect("committed trial traced");
+            let ends: Vec<&str> = body
+                .lines()
+                .filter(|l| l.contains("\"ev\":\"trial_end\""))
+                .collect();
+            assert_eq!(ends.len(), 1, "{body}");
+            assert!(
+                ends[0].starts_with(&format!("{{\"trial\":{trial},")),
+                "{}",
+                ends[0]
+            );
+        } else {
+            assert_eq!(body, None, "trial {trial} is past the {s}-trial prefix");
+        }
+    }
+}
