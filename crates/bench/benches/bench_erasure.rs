@@ -108,7 +108,7 @@ fn bench_gf256_kernels(c: &mut Criterion) {
     }
 }
 
-/// Full codec encode/reconstruct per kernel at each region size, for a
+/// Full codec encode/reconstruct/decode per kernel at each region size, for a
 /// representative Reed–Solomon scheme (8/10, the paper's workhorse).
 /// Kernel selection is process-global; criterion runs benches
 /// sequentially, so flipping `set_active` per measurement is safe.
@@ -148,6 +148,27 @@ fn bench_codec_per_kernel(c: &mut Criterion) {
                     black_box(working)
                 })
             });
+            // What farm-osd reads and recovery run: decode only the lost
+            // data blocks from borrowed survivors.
+            for lost in [1usize, 2] {
+                let survivors: Vec<Option<&[u8]>> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (i >= lost).then_some(b.as_slice()))
+                    .collect();
+                let want: Vec<usize> = (0..lost).collect();
+                group.bench_function(format!("decode_{lost}_lost/{}", kern.name()), |b| {
+                    b.iter(|| {
+                        let mut out = vec![vec![0u8; size]; lost];
+                        let mut slices: Vec<&mut [u8]> =
+                            out.iter_mut().map(Vec::as_mut_slice).collect();
+                        codec
+                            .decode(black_box(&survivors), &want, &mut slices)
+                            .unwrap();
+                        black_box(out)
+                    })
+                });
+            }
         }
         group.finish();
     }

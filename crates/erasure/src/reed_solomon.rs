@@ -65,14 +65,6 @@ impl ReedSolomon {
         ReedSolomon { m, n, generator }
     }
 
-    pub fn data_shards(&self) -> usize {
-        self.m
-    }
-
-    pub fn total_shards(&self) -> usize {
-        self.n
-    }
-
     pub fn parity_shards(&self) -> usize {
         self.n - self.m
     }
@@ -106,65 +98,34 @@ impl ReedSolomon {
     /// `shards` must have exactly `n` entries ordered by shard index
     /// (data 0..m, then parity). At least `m` must be present.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
-        if shards.len() != self.n {
-            return Err(CodeError::WrongShardCount {
-                got: shards.len(),
-                expected: self.n,
-            });
-        }
-        let present: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.m {
-            return Err(CodeError::TooFewShards {
-                present: present.len(),
-                needed: self.m,
-            });
-        }
-        if present.len() == self.n {
-            return Ok(());
-        }
-        let len = shards[present[0]].as_ref().expect("present").len();
-        if len == 0
-            || present
-                .iter()
-                .any(|&i| shards[i].as_ref().expect("present").len() != len)
-        {
-            return Err(CodeError::ShapeMismatch);
-        }
+        reconstruct_with(shards, |s, want, out| self.decode(s, want, out))
+    }
 
-        // Decode matrix: pick m surviving generator rows, invert, and the
-        // product (inverse * survivors) reproduces the data shards; missing
-        // parity is then re-encoded from them.
+    /// Compute only the shards `want` into `out` (see [`Codec::decode`](crate::Codec::decode)).
+    /// The generator rows of the first `m` survivors are inverted once;
+    /// shard `w` is then the one combination `G[w] · inverse` of those
+    /// survivors, so a lost parity shard never waits for lost data.
+    pub fn decode(
+        &self,
+        shards: &[Option<&[u8]>],
+        want: &[usize],
+        out: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        let present = survivors(shards, self.m, self.n, want, out)?;
         let chosen = &present[..self.m];
-        let sub = self.generator.select_rows(chosen);
-        let decode = sub
+        let inverse = self
+            .generator
+            .select_rows(chosen)
             .inverse()
             .expect("any m rows of the systematic Vandermonde generator are independent");
-
-        // Recover data shards first.
+        let coefs = self.generator.select_rows(want).mul(&inverse);
         let k = gf256::kernel::active();
-        let missing_data: Vec<usize> = (0..self.m).filter(|&i| shards[i].is_none()).collect();
-        for &d in &missing_data {
-            let mut out = vec![0u8; len];
-            let row = decode.row(d);
-            for (j, &src_idx) in chosen.iter().enumerate() {
-                let shard = shards[src_idx].as_ref().expect("chosen is present");
-                gf256::kernel::mul_slice_xor(k, row[j], shard, &mut out);
+        for (i, dst) in out.iter_mut().enumerate() {
+            dst.fill(0);
+            for (&c, &s) in coefs.row(i).iter().zip(chosen) {
+                let src = &shards[s].expect("present")[..dst.len()];
+                gf256::kernel::mul_slice_xor(k, c, src, dst);
             }
-            shards[d] = Some(out);
-        }
-
-        // Then recompute any missing parity from the (now complete) data.
-        for p in self.m..self.n {
-            if shards[p].is_some() {
-                continue;
-            }
-            let mut out = vec![0u8; len];
-            let grow = self.generator.row(p);
-            for j in 0..self.m {
-                let shard = shards[j].as_ref().expect("data recovered above");
-                gf256::kernel::mul_slice_xor(k, grow[j], shard, &mut out);
-            }
-            shards[p] = Some(out);
         }
         Ok(())
     }
@@ -184,6 +145,54 @@ impl ReedSolomon {
             .zip(&shards[self.m..])
             .all(|(a, b)| a.as_slice() == *b))
     }
+}
+
+/// Check a decode request against an m-of-`n` code; returns the present
+/// shards, which must share one nonzero length no output exceeds.
+pub(crate) fn survivors(
+    shards: &[Option<&[u8]>],
+    m: usize,
+    n: usize,
+    want: &[usize],
+    out: &[&mut [u8]],
+) -> Result<Vec<usize>, CodeError> {
+    assert_eq!(want.len(), out.len(), "one output per wanted shard");
+    if shards.len() != n {
+        return Err(CodeError::WrongShardCount {
+            got: shards.len(),
+            expected: n,
+        });
+    }
+    let present: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
+    if present.len() < m {
+        return Err(CodeError::TooFewShards {
+            present: present.len(),
+            needed: m,
+        });
+    }
+    let len = shards[present[0]].map_or(0, <[u8]>::len);
+    let ragged = shards.iter().flatten().any(|s| s.len() != len);
+    if len == 0 || ragged || out.iter().any(|o| o.len() > len) {
+        return Err(CodeError::ShapeMismatch);
+    }
+    Ok(present)
+}
+
+/// Fill every missing shard through one `decode` call: all of `reconstruct`.
+pub(crate) fn reconstruct_with(
+    shards: &mut [Option<Vec<u8>>],
+    decode: impl FnOnce(&[Option<&[u8]>], &[usize], &mut [&mut [u8]]) -> Result<(), CodeError>,
+) -> Result<(), CodeError> {
+    let want: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_none()).collect();
+    let len = shards.iter().flatten().next().map_or(0, Vec::len);
+    let mut rebuilt = vec![vec![0u8; len]; want.len()];
+    let present: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+    let mut out: Vec<&mut [u8]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+    decode(&present, &want, &mut out)?;
+    for (w, shard) in want.into_iter().zip(rebuilt) {
+        shards[w] = Some(shard);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

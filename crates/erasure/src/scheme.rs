@@ -4,7 +4,7 @@
 //! the loss of any `n - m` blocks. The six configurations evaluated in
 //! Figure 3 are `1/2`, `1/3`, `2/3`, `4/5`, `4/6` and `8/10`.
 
-use crate::reed_solomon::ReedSolomon;
+use crate::reed_solomon::{reconstruct_with, survivors, CodeError, ReedSolomon};
 use crate::{mirror, xor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -148,38 +148,46 @@ impl Codec {
     /// Reconstruct all missing blocks in place; `blocks.len()` must equal
     /// the scheme's `n`. Returns false when too few blocks survive.
     pub fn reconstruct(&self, blocks: &mut [Option<Vec<u8>>]) -> bool {
+        reconstruct_with(blocks, |b, want, out| self.decode(b, want, out)).is_ok()
+    }
+
+    /// Compute only the blocks `want` from the survivors in `blocks` (`n`
+    /// entries, `None` for lost): `out[i]` gets the first `out[i].len()`
+    /// bytes of block `want[i]`, since each byte of a block depends only
+    /// on the survivors' bytes at its offset. Mirroring copies a replica,
+    /// single parity XORs the other `m` blocks, and Reed–Solomon combines
+    /// `m` survivors ([`ReedSolomon::decode`]).
+    pub fn decode(
+        &self,
+        blocks: &[Option<&[u8]>],
+        want: &[usize],
+        out: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
         match self {
             Codec::Mirror { n } => {
-                assert_eq!(blocks.len(), *n);
-                let src = match blocks.iter().flatten().next() {
-                    Some(s) => s.clone(),
-                    None => return false,
-                };
-                for b in blocks.iter_mut() {
-                    if b.is_none() {
-                        *b = Some(src.clone());
-                    }
+                survivors(blocks, 1, *n, want, out)?;
+                let src = mirror::recover(blocks).expect("one replica survives");
+                for dst in out.iter_mut() {
+                    dst.copy_from_slice(&src[..dst.len()]);
                 }
-                true
             }
             Codec::SingleParity { m } => {
-                assert_eq!(blocks.len(), m + 1);
-                let missing: Vec<usize> =
-                    (0..blocks.len()).filter(|&i| blocks[i].is_none()).collect();
-                match missing.len() {
-                    0 => true,
-                    1 => {
-                        let survivors: Vec<&[u8]> =
-                            blocks.iter().flatten().map(|b| b.as_slice()).collect();
-                        let rebuilt = xor::reconstruct(&survivors);
-                        blocks[missing[0]] = Some(rebuilt);
-                        true
+                survivors(blocks, *m, m + 1, want, out)?;
+                for (&w, dst) in want.iter().zip(out.iter_mut()) {
+                    match blocks[w] {
+                        Some(b) => dst.copy_from_slice(&b[..dst.len()]),
+                        None => {
+                            dst.fill(0);
+                            for b in blocks.iter().flatten() {
+                                xor::xor_into(dst, &b[..dst.len()]);
+                            }
+                        }
                     }
-                    _ => false,
                 }
             }
-            Codec::Rs(rs) => rs.reconstruct(blocks).is_ok(),
+            Codec::Rs(rs) => rs.decode(blocks, want, out)?,
         }
+        Ok(())
     }
 }
 
@@ -284,6 +292,97 @@ mod tests {
         let codec = Scheme::new(1, 2).codec();
         let mut blocks = vec![None, None];
         assert!(!codec.reconstruct(&mut blocks));
+    }
+
+    /// Each Figure 3 scheme through `Scheme::codec` (mirroring and
+    /// single parity take their fast paths) and as Reed–Solomon directly.
+    fn every_codec() -> Vec<(String, usize, usize, Codec)> {
+        let mut out = Vec::new();
+        for s in Scheme::figure3_schemes() {
+            let (m, n) = (s.m as usize, s.n as usize);
+            if s.is_mirroring() || s.is_single_parity() {
+                out.push((format!("{s} codec"), m, n, s.codec()));
+            }
+            out.push((format!("{s} rs"), m, n, Codec::Rs(ReedSolomon::new(m, n))));
+        }
+        out
+    }
+
+    fn bits(mask: u32, n: usize) -> Vec<usize> {
+        (0..n).filter(|&i| mask & (1 << i) != 0).collect()
+    }
+
+    #[test]
+    fn decode_matches_reconstruct_for_every_pattern_and_want_set() {
+        for (name, m, n, codec) in every_codec() {
+            for len in [1usize, 13, 67] {
+                let data: Vec<Vec<u8>> = (0..m)
+                    .map(|i| (0..len).map(|j| (i * 97 + j * 13 + len) as u8).collect())
+                    .collect();
+                let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+                let full: Vec<Vec<u8>> = data.iter().cloned().chain(codec.encode(&refs)).collect();
+                for lost in 0u32..1 << n {
+                    if lost.count_ones() as usize > n - m {
+                        continue;
+                    }
+                    let mut rebuilt: Vec<Option<Vec<u8>>> = (0..n)
+                        .map(|i| (lost & (1 << i) == 0).then(|| full[i].clone()))
+                        .collect();
+                    assert!(codec.reconstruct(&mut rebuilt), "{name} lost {lost:b}");
+                    let survivors: Vec<Option<&[u8]>> = (0..n)
+                        .map(|i| (lost & (1 << i) == 0).then_some(full[i].as_slice()))
+                        .collect();
+                    for want in 1u32..1 << n {
+                        let want = bits(want, n);
+                        // Garbage-filled outputs of falling lengths: each
+                        // must come back as that prefix of its block.
+                        let mut out: Vec<Vec<u8>> =
+                            (0..want.len()).map(|i| vec![0xA5; len - i % len]).collect();
+                        let mut slices: Vec<&mut [u8]> =
+                            out.iter_mut().map(Vec::as_mut_slice).collect();
+                        codec.decode(&survivors, &want, &mut slices).unwrap();
+                        for (&w, o) in want.iter().zip(&out) {
+                            let block = rebuilt[w].as_ref().unwrap();
+                            assert_eq!(
+                                o[..],
+                                block[..o.len()],
+                                "{name} len {len} lost {lost:b} want {w}"
+                            );
+                        }
+                    }
+                    for (r, f) in rebuilt.iter().zip(&full) {
+                        assert_eq!(r.as_ref(), Some(f), "{name} reconstruct, lost {lost:b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_bad_requests() {
+        for (name, m, n, codec) in every_codec() {
+            let block = vec![1u8; 8];
+            let mut survivors: Vec<Option<&[u8]>> = vec![Some(&block); n];
+            for s in survivors.iter_mut().take(n - m + 1) {
+                *s = None;
+            }
+            let mut out = [0u8; 8];
+            assert_eq!(
+                codec.decode(&survivors, &[0], &mut [&mut out]),
+                Err(CodeError::TooFewShards {
+                    present: m - 1,
+                    needed: m
+                }),
+                "{name}"
+            );
+            let survivors: Vec<Option<&[u8]>> = vec![Some(&block); n];
+            let mut long = [0u8; 9];
+            assert_eq!(
+                codec.decode(&survivors, &[0], &mut [&mut long]),
+                Err(CodeError::ShapeMismatch),
+                "{name}"
+            );
+        }
     }
 
     #[test]

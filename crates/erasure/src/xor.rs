@@ -19,12 +19,6 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     crate::gf256::xor_slice(src, dst);
 }
 
-/// Reconstruct the single missing block given the `m - 1` surviving data
-/// blocks and the parity block: the XOR of all survivors.
-pub fn reconstruct(survivors: &[&[u8]]) -> Vec<u8> {
-    parity(survivors)
-}
-
 /// RAID-5 small-write rule: update parity in place after one data block
 /// changes, without touching the other blocks.
 pub fn update_parity(parity: &mut [u8], old_data: &[u8], new_data: &[u8]) {
@@ -55,7 +49,7 @@ mod tests {
                 }
             }
             survivors.push(&p);
-            assert_eq!(reconstruct(&survivors), data[lost], "lost block {lost}");
+            assert_eq!(parity(&survivors), data[lost], "lost block {lost}");
         }
     }
 

@@ -4,10 +4,10 @@
 //! bookkeeping.
 
 use crate::device::{BlockKey, Osd, OsdError, OsdId};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use farm_erasure::{Codec, Scheme};
 use farm_placement::{ClusterMap, DiskId, Rush, RushScratch};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Errors surfaced by cluster operations.
 #[derive(Debug)]
@@ -57,6 +57,10 @@ pub struct RecoveryReport {
     pub bytes_rebuilt: u64,
     /// Groups that could not be recovered (data loss).
     pub groups_lost: u64,
+    /// Lost blocks of recoverable groups that found no eligible target
+    /// (every active device already holds a block of the group, or none
+    /// has room); they stay lost until a later pass can place them.
+    pub blocks_unplaced: u64,
 }
 
 /// What a scrub pass found.
@@ -220,14 +224,29 @@ impl Cluster {
             .objects
             .get(name)
             .ok_or_else(|| ClusterError::NotFound(name.to_string()))?;
-        let mut out = Vec::with_capacity(meta.len as usize);
-        for &group in &meta.groups {
-            let blocks = self.read_group(group)?;
-            for b in blocks.into_iter().take(self.scheme.m as usize) {
-                out.extend_from_slice(&b);
+        // Each group fills the next `group_bytes` of the output. Present data
+        // blocks are copied in once; only missing ones that overlap the
+        // object (not pure padding) are decoded, in place.
+        let mut out = vec![0u8; meta.len as usize];
+        for (span, &group) in out.chunks_mut(self.group_bytes).zip(&meta.groups) {
+            let held = self.held_blocks(group);
+            let (mut want, mut missing) = (Vec::new(), Vec::new());
+            for (idx, part) in span.chunks_mut(self.block_bytes()).enumerate() {
+                match &held[idx] {
+                    Some(block) => part.copy_from_slice(&block[..part.len()]),
+                    None => {
+                        want.push(idx);
+                        missing.push(part);
+                    }
+                }
+            }
+            if !want.is_empty() {
+                let survivors: Vec<Option<&[u8]>> = held.iter().map(Option::as_deref).collect();
+                self.codec
+                    .decode(&survivors, &want, &mut missing)
+                    .map_err(|_| ClusterError::Unrecoverable { group })?;
             }
         }
-        out.truncate(meta.len as usize);
         Ok(out)
     }
 
@@ -257,67 +276,51 @@ impl Cluster {
     /// new device from the group's candidate list, reconstructing the
     /// bytes from surviving buddies.
     ///
-    /// Lost blocks are batched per redundancy group, so however many of
-    /// a group's blocks died, the group's survivors are read and run
-    /// through the erasure kernel exactly once; groups are processed in
-    /// ascending id order so the pass is deterministic.
+    /// Lost blocks are batched per redundancy group, so one decode from
+    /// the survivors computes exactly a group's lost blocks; groups are
+    /// processed in ascending id order so the pass is deterministic. Only
+    /// a group with too few survivors counts as lost; a rebuilt block
+    /// with no eligible target counts as unplaced.
     pub fn recover(&mut self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         // Lost blocks, batched by group.
-        let mut lost: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
+        let mut lost: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (&k, &osd) in &self.homes {
             if !self.osds[osd.0 as usize].is_active() {
-                lost.entry(k.group).or_default().push(k.idx);
+                lost.entry(k.group).or_default().push(k.idx as usize);
             }
         }
-        for (group, mut idxs) in lost {
-            idxs.sort_unstable();
-            match self.rebuild_group(group, &idxs) {
-                Ok((blocks, bytes)) => {
-                    report.blocks_rebuilt += blocks;
-                    report.bytes_rebuilt += bytes;
-                }
-                Err(_) => {
-                    report.groups_lost += 1;
-                }
+        let bb = self.block_bytes();
+        for (group, mut want) in lost {
+            want.sort_unstable();
+            let mut rebuilt: Vec<BytesMut> = want.iter().map(|_| BytesMut::zeroed(bb)).collect();
+            let held = self.held_blocks(group);
+            let survivors: Vec<Option<&[u8]>> = held.iter().map(Option::as_deref).collect();
+            let mut out: Vec<&mut [u8]> = rebuilt.iter_mut().map(|b| &mut b[..]).collect();
+            if self.codec.decode(&survivors, &want, &mut out).is_err() {
+                report.groups_lost += 1;
+                continue;
+            }
+            for (placed, (&w, block)) in want.iter().zip(rebuilt).enumerate() {
+                // Choose a target per §2.3: alive, no buddy of this group,
+                // space. Each placement updates `homes`, so later blocks
+                // of the same group automatically avoid this target.
+                let Some(target) = self.choose_target(group, bb as u64) else {
+                    report.blocks_unplaced += (want.len() - placed) as u64;
+                    break;
+                };
+                let idx = w as u8;
+                let key = BlockKey { group, idx };
+                self.osds[target.0 as usize]
+                    .put(key, block.freeze())
+                    .expect("the target is active, has room and holds no block of the group");
+                self.note_put(target);
+                self.homes.insert(key, target);
+                report.blocks_rebuilt += 1;
+                report.bytes_rebuilt += bb as u64;
             }
         }
         report
-    }
-
-    /// Reconstruct a group once and re-place each of its lost blocks
-    /// onto a fresh target; returns (blocks, bytes) written.
-    fn rebuild_group(&mut self, group: u64, idxs: &[u8]) -> Result<(u64, u64), ClusterError> {
-        // One in-memory reconstruction covers every lost block.
-        let mut blocks: Vec<Option<Vec<u8>>> = (0..self.scheme.n as u8)
-            .map(|idx| {
-                let k = BlockKey { group, idx };
-                self.homes
-                    .get(&k)
-                    .and_then(|&osd| self.osds[osd.0 as usize].get(k).ok().map(|b| b.to_vec()))
-            })
-            .collect();
-        if !self.codec.reconstruct(&mut blocks) {
-            return Err(ClusterError::Unrecoverable { group });
-        }
-        let mut rebuilt = (0u64, 0u64);
-        for &idx in idxs {
-            let key = BlockKey { group, idx };
-            let data = blocks[idx as usize].take().expect("reconstructed");
-
-            // Choose a target per §2.3: alive, no buddy of this group,
-            // space. Each placement updates `homes`, so later blocks of
-            // the same group automatically avoid this target.
-            let target = self
-                .choose_target(group, data.len() as u64)
-                .ok_or(ClusterError::NoEligibleDevice { group })?;
-            self.osds[target.0 as usize].put(key, Bytes::from(data))?;
-            self.note_put(target);
-            self.homes.insert(key, target);
-            rebuilt.0 += 1;
-            rebuilt.1 += self.block_bytes() as u64;
-        }
-        Ok(rebuilt)
     }
 
     fn choose_target(&mut self, group: u64, need: u64) -> Option<OsdId> {
@@ -364,28 +367,21 @@ impl Cluster {
     }
 
     fn group_is_consistent(&self, group: u64) -> bool {
-        let blocks: Vec<Option<Bytes>> = (0..self.scheme.n as u8)
-            .map(|idx| {
-                let k = BlockKey { group, idx };
-                self.homes
-                    .get(&k)
-                    .and_then(|&osd| self.osds[osd.0 as usize].get(k).ok())
-            })
-            .collect();
         // A group with missing blocks is degraded, not inconsistent.
-        let present: Vec<&Bytes> = blocks.iter().flatten().collect();
-        if present.len() < blocks.len() {
+        let Some(blocks) = self
+            .held_blocks(group)
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+        else {
             return true;
-        }
-        let data: Vec<&[u8]> = blocks[..self.scheme.m as usize]
+        };
+        let (data, parity) = blocks.split_at(self.scheme.m as usize);
+        let data: Vec<&[u8]> = data.iter().map(|b| &b[..]).collect();
+        let encoded = self.codec.encode(&data);
+        encoded
             .iter()
-            .map(|b| b.as_ref().expect("present").as_ref())
-            .collect();
-        let parity = self.codec.encode(&data);
-        parity
-            .iter()
-            .zip(&blocks[self.scheme.m as usize..])
-            .all(|(p, stored)| p.as_slice() == stored.as_ref().expect("present").as_ref())
+            .zip(parity)
+            .all(|(p, stored)| p[..] == stored[..])
     }
 
     // ----- internals -------------------------------------------------------
@@ -446,19 +442,16 @@ impl Cluster {
         Ok(())
     }
 
-    fn read_group(&self, group: u64) -> Result<Vec<Vec<u8>>, ClusterError> {
-        let mut blocks: Vec<Option<Vec<u8>>> = (0..self.scheme.n as u8)
+    /// The blocks of `group` on live devices, as refcounted handles.
+    fn held_blocks(&self, group: u64) -> Vec<Option<Bytes>> {
+        (0..self.scheme.n as u8)
             .map(|idx| {
                 let k = BlockKey { group, idx };
                 self.homes
                     .get(&k)
-                    .and_then(|&osd| self.osds[osd.0 as usize].get(k).ok().map(|b| b.to_vec()))
+                    .and_then(|&osd| self.osds[osd.0 as usize].get(k).ok())
             })
-            .collect();
-        if !self.codec.reconstruct(&mut blocks) {
-            return Err(ClusterError::Unrecoverable { group });
-        }
-        Ok(blocks.into_iter().map(|b| b.expect("complete")).collect())
+            .collect()
     }
 
     fn drop_group(&mut self, group: u64) {

@@ -177,3 +177,117 @@ fn many_objects_share_the_cluster() {
         assert_eq!(&c.get(name).unwrap(), data, "{name}");
     }
 }
+
+/// The device holding block `idx` of `group`.
+fn holder(c: &Cluster, group: u64, idx: u8) -> OsdId {
+    let key = crate::device::BlockKey { group, idx };
+    (0..c.n_osds())
+        .map(OsdId)
+        .find(|&id| c.osd(id).get(key).is_ok())
+        .expect("block stored somewhere")
+}
+
+#[test]
+fn recovery_without_targets_is_not_data_loss() {
+    // Ten devices and 8/10 groups: every group spans every device, so
+    // after one failure no device may take a lost block. The data is
+    // intact (one loss is within tolerance), so nothing is lost.
+    let mut c = Cluster::new(10, 1 << 30, Scheme::new(8, 10), 4096, 3);
+    let data = payload(200_000, 6);
+    c.put("obj", &data).unwrap();
+    let lost = c.fail_osd(OsdId(0));
+    assert_eq!(lost, 7, "one block of each of the 7 groups");
+    let report = c.recover();
+    assert_eq!(report.groups_lost, 0);
+    assert_eq!(report.blocks_rebuilt, 0);
+    assert_eq!(report.bytes_rebuilt, 0);
+    assert_eq!(report.blocks_unplaced, lost);
+    assert_eq!(c.get("obj").unwrap(), data);
+}
+
+#[test]
+fn blocks_placed_before_running_out_of_targets_count_as_rebuilt() {
+    // Eleven devices: each 8/10 group leaves out one. After two
+    // failures a group that lost two blocks has exactly one eligible
+    // device (the one it left out), so it places one block and then runs
+    // out; a group that lost one block left out a failed device and has
+    // none.
+    let mut c = Cluster::new(11, 1 << 30, Scheme::new(8, 10), 4096, 3);
+    let data = payload(600_000, 2);
+    c.put("obj", &data).unwrap();
+    let groups = data.len().div_ceil(8 * 4096) as u64;
+    let failed = [OsdId(0), OsdId(1)];
+    let (mut two_lost, mut one_lost) = (0u64, 0u64);
+    for g in 0..groups {
+        match (0..10u8)
+            .filter(|&i| failed.contains(&holder(&c, g, i)))
+            .count()
+        {
+            2 => two_lost += 1,
+            1 => one_lost += 1,
+            _ => {}
+        }
+    }
+    assert!(two_lost > 0 && one_lost > 0, "{two_lost} / {one_lost}");
+    let lost: u64 = failed.iter().map(|&id| c.fail_osd(id)).sum();
+    assert_eq!(lost, 2 * two_lost + one_lost);
+    let report = c.recover();
+    assert_eq!(report.groups_lost, 0);
+    assert_eq!(report.blocks_rebuilt, two_lost);
+    assert_eq!(report.bytes_rebuilt, two_lost * 4096);
+    assert_eq!(report.blocks_unplaced, two_lost + one_lost);
+    assert_eq!(c.get("obj").unwrap(), data);
+    assert_eq!(c.scrub().groups_inconsistent, 0);
+}
+
+#[test]
+fn degraded_reads_over_padding() {
+    // The last group holds 1.25 data blocks of payload: block 0 full,
+    // block 1 partial and the rest (where m > 2) padding only. Every
+    // tolerated loss pattern of that group must read back, including
+    // ones that lose only padding or only the partial block.
+    for scheme in Scheme::figure3_schemes() {
+        let (m, n) = (scheme.m as usize, scheme.n as usize);
+        let len = 3 * m * 4096 + 5 * 1024;
+        for lost in 1u32..1 << n {
+            if lost.count_ones() > scheme.fault_tolerance() {
+                continue;
+            }
+            let mut c = small_cluster(scheme);
+            let data = payload(len, 11);
+            c.put("obj", &data).unwrap();
+            let victims: Vec<OsdId> = (0..n as u8)
+                .filter(|&i| lost & (1 << i) != 0)
+                .map(|i| holder(&c, 3, i))
+                .collect();
+            for v in victims {
+                c.fail_osd(v);
+            }
+            assert_eq!(c.get("obj").unwrap(), data, "{scheme} lost {lost:b}");
+        }
+    }
+}
+
+#[test]
+fn reads_and_recovery_at_exactly_the_tolerance() {
+    // For every scheme, several windows of exactly n - m failed devices;
+    // the object's last group is padded. Degraded reads, then recovery
+    // rebuilds every lost block, reads stay byte-identical and a scrub
+    // finds every group consistent.
+    for scheme in Scheme::figure3_schemes() {
+        let k = scheme.fault_tolerance();
+        for start in (0..24 - k).step_by(5) {
+            let mut c = small_cluster(scheme);
+            let data = payload(90_001, start as u8);
+            c.put("obj", &data).unwrap();
+            let lost: u64 = (start..start + k).map(|i| c.fail_osd(OsdId(i))).sum();
+            assert_eq!(c.get("obj").unwrap(), data, "{scheme} degraded at {start}");
+            let report = c.recover();
+            assert_eq!(report.groups_lost, 0, "{scheme} at {start}");
+            assert_eq!(report.blocks_unplaced, 0, "{scheme} at {start}");
+            assert_eq!(report.blocks_rebuilt, lost, "{scheme} at {start}");
+            assert_eq!(c.get("obj").unwrap(), data, "{scheme} rebuilt at {start}");
+            assert_eq!(c.scrub().groups_inconsistent, 0, "{scheme} at {start}");
+        }
+    }
+}

@@ -4,7 +4,8 @@
 //! runtime, so a dispatch bug would silently change simulation results
 //! depending on the host CPU. This test pins the contract: `encode`,
 //! `verify` and `reconstruct` must produce byte-identical output under
-//! every kernel the host supports.
+//! every kernel the host supports, and `decode` must match that
+//! `reconstruct` for every block it is asked for.
 //!
 //! The CI kernel matrix runs this binary once per `FARM_GF_KERNEL`
 //! value; the single test below first asserts that the startup-selected
@@ -106,6 +107,63 @@ fn erasure_pipeline_is_byte_identical_across_kernels() {
                         &full[n - 1],
                         "parity rebuild differs under {k} ({scheme:?}, len {len})"
                     );
+                }
+            }
+        }
+    }
+
+    // --- `decode` computes only the wanted blocks; under every kernel it
+    // must match the scalar `reconstruct` for every tolerated loss
+    // pattern: every want set at an odd short length, and the lost set
+    // plus the whole group at a length with a vector body and a tail.
+    for scheme in Scheme::figure3_schemes() {
+        let (m, n) = (scheme.m as usize, scheme.n as usize);
+        let codecs = [
+            scheme.codec(),
+            farm_erasure::Codec::Rs(ReedSolomon::new(m, n)),
+        ];
+        for codec in &codecs {
+            for len in [13usize, 4096 + 7] {
+                let data = make_shards(m, len);
+                let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+                kernel::set_active(Kernel::Scalar);
+                let full: Vec<Vec<u8>> = data.iter().cloned().chain(codec.encode(&refs)).collect();
+                for lost in 1u32..1 << n {
+                    if lost.count_ones() as usize > n - m {
+                        continue;
+                    }
+                    let is_lost = |i: usize| lost & (1 << i) != 0;
+                    kernel::set_active(Kernel::Scalar);
+                    let mut reference: Vec<Option<Vec<u8>>> = (0..n)
+                        .map(|i| (!is_lost(i)).then(|| full[i].clone()))
+                        .collect();
+                    assert!(codec.reconstruct(&mut reference));
+                    let survivors: Vec<Option<&[u8]>> = (0..n)
+                        .map(|i| (!is_lost(i)).then_some(full[i].as_slice()))
+                        .collect();
+                    let want_sets: Vec<Vec<usize>> = if len == 13 {
+                        (1u32..1 << n)
+                            .map(|w| (0..n).filter(|&i| w & (1 << i) != 0).collect())
+                            .collect()
+                    } else {
+                        vec![(0..n).filter(|&i| is_lost(i)).collect(), (0..n).collect()]
+                    };
+                    for &k in &supported {
+                        kernel::set_active(k);
+                        for want in &want_sets {
+                            let mut out = vec![vec![0u8; len]; want.len()];
+                            let mut slices: Vec<&mut [u8]> =
+                                out.iter_mut().map(Vec::as_mut_slice).collect();
+                            codec.decode(&survivors, want, &mut slices).unwrap();
+                            for (&w, got) in want.iter().zip(&out) {
+                                assert_eq!(
+                                    Some(got),
+                                    reference[w].as_ref(),
+                                    "decode differs under {k} ({scheme:?}, len {len}, lost {lost:b}, block {w})"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
